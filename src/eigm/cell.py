@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from .graphs import Graph, degrees
 from .probmatrix import ProbMatrix
@@ -90,26 +91,6 @@ def _stationary_distribution(
     )
 
 
-def _strongly_connected(support: np.ndarray) -> bool:
-    n = support.shape[0]
-
-    def reach(mat: np.ndarray) -> int:
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.flatnonzero(mat[u]):
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(int(v))
-            frontier = nxt
-        return int(seen.sum())
-
-    return reach(support) == n and reach(support.T) == n
-
-
 def cell_symmetrize(p_star: np.ndarray) -> ProbMatrix:
     """Turn a row-stochastic score matrix into an edge-probability matrix.
 
@@ -124,7 +105,9 @@ def cell_symmetrize(p_star: np.ndarray) -> ProbMatrix:
         raise ValueError("P* must be square")
     if np.any(p_star < 0) or not np.allclose(p_star.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("P* must be row-stochastic")
-    if not _strongly_connected(p_star > 0):
+    if scipy.sparse.csgraph.connected_components(
+        p_star > 0, directed=True, connection="strong", return_labels=False
+    ) != 1:
         raise ValueError("P* is reducible; stationary distribution not unique")
     pi = _stationary_distribution(p_star)
     m = pi[:, None] * p_star

@@ -5,6 +5,10 @@ sorted per row.  All constructors deduplicate edges, symmetrize, and drop
 self-loops, so every :class:`Graph` in the program satisfies the same
 invariants: symmetric adjacency, no self-loops, no duplicate neighbors,
 and ``2 * m`` equal to the degree sum.
+
+Every kernel here is vectorized: construction, validation and edge
+listing work on whole index arrays, and connected components come from
+``scipy.sparse.csgraph`` on :meth:`Graph.to_csr`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 __all__ = [
     "Graph",
@@ -51,32 +57,18 @@ class Graph:
         """
         if n <= 0:
             raise ValueError("graph must have at least one node")
-        pairs = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                continue
-            pairs.add((min(u, v), max(u, v)))
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in pairs:
-            deg[u] += 1
-            deg[v] += 1
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for u, v in sorted(pairs):
-            indices[cursor[u]] = v
-            cursor[u] += 1
-            indices[cursor[v]] = u
-            cursor[v] += 1
-        for i in range(n):
-            row = indices[indptr[i]:indptr[i + 1]]
-            row.sort()
-        g = cls(n=n, indptr=indptr, indices=indices, m=len(pairs))
-        g._freeze()
+        e = np.array(list(edges), dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
+        if bad.size:
+            u, v = e[bad[0]]
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        e = e[e[:, 0] != e[:, 1]]
+        keys = np.unique(e.min(axis=1) * np.int64(n) + e.max(axis=1))
+        g = cls.from_pairs(n, keys // n, keys % n)
         g.validate()
         return g
 
@@ -132,33 +124,45 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of edges with u < v, sorted lexicographically."""
-        out = np.empty((self.m, 2), dtype=np.int64)
-        k = 0
-        for u in range(self.n):
-            row = self.neighbors(u)
-            for v in row[np.searchsorted(row, u + 1):]:
-                out[k, 0] = u
-                out[k, 1] = v
-                k += 1
-        return out
+        rows = self._rows()
+        upper = rows < self.indices
+        return np.column_stack([rows[upper], self.indices[upper]])
+
+    def edge_keys(self) -> np.ndarray:
+        """Sorted distinct keys ``u * n + v`` of the edges (u < v)."""
+        e = self.edge_array()
+        return e[:, 0] * np.int64(self.n) + e[:, 1]
+
+    def to_csr(self, dtype=np.int64) -> scipy.sparse.csr_matrix:
+        """Adjacency as a ``scipy.sparse`` CSR matrix with unit entries."""
+        data = np.ones(len(self.indices), dtype=dtype)
+        return scipy.sparse.csr_matrix(
+            (data, self.indices, self.indptr), shape=(self.n, self.n)
+        )
+
+    def _rows(self) -> np.ndarray:
+        """Row id of every entry of ``indices``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def validate(self) -> None:
         """Assert the structural invariants; raises AssertionError on breakage."""
         assert self.n > 0
         assert self.indptr.shape == (self.n + 1,)
         assert self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
+        assert np.all(np.diff(self.indptr) >= 0), "indptr decreases"
         assert 2 * self.m == len(self.indices)
-        for i in range(self.n):
-            row = self.neighbors(i)
-            assert np.all(np.diff(row) > 0), f"row {i} unsorted or duplicated"
-            assert i not in row, f"self-loop at {i}"
-            assert np.all((row >= 0) & (row < self.n))
-        # symmetry: j in adj[i] <=> i in adj[j]
-        for i in range(self.n):
-            for j in self.neighbors(i):
-                row_j = self.neighbors(int(j))
-                pos = np.searchsorted(row_j, i)
-                assert pos < len(row_j) and row_j[pos] == i, f"asymmetric pair ({i}, {j})"
+        rows, cols = self._rows(), self.indices
+        assert np.all((cols >= 0) & (cols < self.n))
+        # assertion messages are only evaluated on failure
+        loops = np.flatnonzero(rows == cols)
+        assert not loops.size, f"self-loop at {rows[loops[0]]}"
+        unsorted = np.flatnonzero((np.diff(cols) <= 0) & (rows[1:] == rows[:-1]))
+        assert not unsorted.size, f"row {rows[unsorted[0]]} unsorted or duplicated"
+        # symmetry: the sorted keys of (i, j) and of (j, i) coincide
+        forward = rows * np.int64(self.n) + cols
+        backward = np.sort(cols * np.int64(self.n) + rows)
+        asym = np.flatnonzero(forward != backward)
+        assert not asym.size, f"asymmetric pair ({rows[asym[0]]}, {cols[asym[0]]})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -273,31 +277,24 @@ def degrees(g: Graph) -> np.ndarray:
     return np.diff(g.indptr)
 
 
-def _component_of(g: Graph, start: int, unvisited: np.ndarray) -> list[int]:
-    comp = [start]
-    unvisited[start] = False
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                v = int(v)
-                if unvisited[v]:
-                    unvisited[v] = False
-                    comp.append(v)
-                    nxt.append(v)
-        frontier = nxt
-    return comp
+def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
+    """Component count and per-node labels numbered by smallest member."""
+    k, labels = scipy.sparse.csgraph.connected_components(
+        g.to_csr(np.int8), directed=False
+    )
+    # csgraph does not document its label order, so renumber explicitly
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(k)
+    return k, rank[inverse]
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest member."""
-    unvisited = np.ones(g.n, dtype=bool)
-    comps = []
-    for start in range(g.n):
-        if unvisited[start]:
-            comps.append(sorted(_component_of(g, start, unvisited)))
-    return comps
+    k, labels = _component_labels(g)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=k))[:-1]
+    return [c.tolist() for c in np.split(order, bounds)]
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, NodeIdMap]:
@@ -307,14 +304,12 @@ def largest_connected_component(g: Graph) -> tuple[Graph, NodeIdMap]:
     smallest node id, so the result is deterministic.  The returned map
     sends new dense indices to the ids they had in ``g``.
     """
-    comps = connected_components(g)
-    best = max(comps, key=lambda c: (len(c), -c[0]))
-    id_map = NodeIdMap.from_originals(best)
-    keep = {old: new for new, old in enumerate(best)}
-    edges = []
-    for u_old in best:
-        for v_old in g.neighbors(u_old):
-            v_old = int(v_old)
-            if v_old in keep and u_old < v_old:
-                edges.append((keep[u_old], keep[v_old]))
-    return Graph.from_edges(len(best), edges), id_map
+    _, labels = _component_labels(g)
+    best = int(np.argmax(np.bincount(labels)))  # first maximum: smallest id
+    keep = labels == best
+    nodes = np.flatnonzero(keep)
+    new_index = np.cumsum(keep) - 1
+    e = g.edge_array()
+    e = e[keep[e[:, 0]]]
+    lcc = Graph.from_pairs(len(nodes), new_index[e[:, 0]], new_index[e[:, 1]])
+    return lcc, NodeIdMap.from_originals(nodes.tolist())

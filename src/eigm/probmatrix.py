@@ -69,6 +69,8 @@ class ProbMatrix:
             raise ValueError("probability matrix must be square")
         if a.shape[0] == 0:
             raise ValueError("probability matrix must be nonempty")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("probability matrix entries must be finite (no NaN or inf)")
         if not np.array_equal(a, a.T):
             raise ValueError("probability matrix must be symmetric")
         lo, hi = a.min(), a.max()
@@ -140,11 +142,6 @@ def sample(p: ProbMatrix, seed: int) -> Graph:
     return Graph.from_pairs(p.n, iu[keep], ju[keep])
 
 
-def _edge_keys(g: Graph) -> np.ndarray:
-    e = g.edge_array()
-    return e[:, 0] * np.int64(g.n) + e[:, 1]
-
-
 def empirical_overlap(p: ProbMatrix, seed: int, trials: int) -> float:
     """Monte-Carlo overlap estimate from ``trials`` independent sample pairs."""
     if trials < 1:
@@ -156,7 +153,8 @@ def empirical_overlap(p: ProbMatrix, seed: int, trials: int) -> float:
     for t in range(trials):
         g1 = sample(p, derive_seed(seed, "overlap-pair", t, 0))
         g2 = sample(p, derive_seed(seed, "overlap-pair", t, 1))
-        acc += len(np.intersect1d(_edge_keys(g1), _edge_keys(g2))) / vol
+        shared = np.intersect1d(g1.edge_keys(), g2.edge_keys(), assume_unique=True)
+        acc += len(shared) / vol
     return acc / trials
 
 
@@ -237,6 +235,8 @@ def load_probmatrix(path) -> ProbMatrix:
         n = int(header[2:])
         if n <= 0:
             raise ValueError("n must be positive")
+        if n > DEFAULT_DENSE_CAP:
+            raise CapacityError(f"n={n} exceeds dense-matrix cap {DEFAULT_DENSE_CAP}")
         a = np.zeros((n, n), dtype=np.float64)
         for line_no, raw in enumerate(fh, start=2):
             line = raw.strip()

@@ -6,6 +6,11 @@ power-law exponent of the degree distribution, degree assortativity, total
 triangle count, global clustering coefficient, and characteristic path
 length.  Statistics that are undefined on a given graph (zero variance,
 no wedges, too few tail points) are reported as NaN markers, never as 0.
+
+The graph kernels are exact integer ``scipy.sparse`` algebra on the CSR
+adjacency: triangles from row blocks of ``(A @ A) * A``, path lengths from
+a BFS whose levels are boolean products of a bit-packed frontier block
+with the adjacency, and connectivity from ``scipy.sparse.csgraph``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.special
 
-from .graphs import Graph, connected_components, degrees, largest_connected_component
+from .graphs import Graph, degrees, largest_connected_component
 
 __all__ = [
     "StatsRecord",
@@ -88,29 +93,43 @@ class StatsRecord:
         return ",".join(parts)
 
 
+# cap on the entries held by one row block of a sparse product (A @ A, or
+# the gathered BFS frontier words): about 16-24 MiB
+_BLOCK_ENTRIES = 1 << 21
+
+
+def _row_blocks(weights: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive row ranges covering all rows, each of total ``weights``
+    at most about ``_BLOCK_ENTRIES`` (a single heavy row forms its own)."""
+    cum = np.concatenate([[0], np.cumsum(weights)])
+    cuts = np.searchsorted(cum, np.arange(0, cum[-1], _BLOCK_ENTRIES))
+    bounds = np.unique(np.concatenate([[0], cuts, [len(weights)]]))
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
 def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
     """Per-node triangle participation counts and the total triangle count.
 
-    Exact: for each edge (u, v) with u < v, triangles (u, v, w) with w > v
-    are found by intersecting the sorted neighbor lists, so each triangle
-    is counted once and charged to all three corners.
+    Exact integer sparse algebra: ``((A @ A) * A)[i, j]`` counts the common
+    neighbors of each adjacent pair, so row i sums to twice the triangles
+    at i, and every triangle is charged to its three corners.  The product
+    is formed by row blocks, so dense graphs never hold all of ``A @ A``.
     """
+    a = g.to_csr()
     t = np.zeros(g.n, dtype=np.int64)
-    total = 0
-    for u in range(g.n):
-        row_u = g.neighbors(u)
-        above_u = row_u[np.searchsorted(row_u, u + 1):]
-        for v in above_u:
-            v = int(v)
-            common = np.intersect1d(above_u, g.neighbors(v), assume_unique=True)
-            closing = common[common > v]
-            c = len(closing)
-            if c:
-                total += c
-                t[u] += c
-                t[v] += c
-                np.add.at(t, closing, 1)
-    return t, total
+    for lo, hi in _row_blocks(a @ degrees(g)):  # row i of A @ A: <= (A d)_i entries
+        paths = (a[lo:hi] @ a).multiply(a[lo:hi]).sum(axis=1)
+        t[lo:hi] = np.asarray(paths).ravel() // 2
+    return t, int(t.sum() // 3)
+
+
+def _clustering(d: np.ndarray, triangles: int) -> float:
+    """Global clustering from the degree vector and the triangle total."""
+    d = d.astype(np.float64)
+    wedges = float((d * (d - 1.0)).sum() / 2.0)
+    if wedges == 0.0:
+        return float("nan")
+    return 3.0 * triangles / wedges
 
 
 def global_clustering(g: Graph) -> float:
@@ -120,12 +139,7 @@ def global_clustering(g: Graph) -> float:
     closes three of them, so the value is 3 * triangles / total wedges and
     equals 1 exactly when every wedge closes (complete graphs).
     """
-    d = degrees(g).astype(np.float64)
-    wedges = float((d * (d - 1.0)).sum() / 2.0)
-    if wedges == 0.0:
-        return float("nan")
-    _, total = triangle_counts(g)
-    return 3.0 * total / wedges
+    return _clustering(degrees(g), triangle_counts(g)[1])
 
 
 def assortativity(g: Graph) -> float:
@@ -214,34 +228,55 @@ def powerlaw_alpha(d: np.ndarray) -> float:
     return fit.alpha if fit is not None else float("nan")
 
 
-def _to_csr(g: Graph) -> scipy.sparse.csr_matrix:
-    data = np.ones(len(g.indices), dtype=np.int8)
-    return scipy.sparse.csr_matrix(
-        (data, g.indices, g.indptr), shape=(g.n, g.n)
-    )
+# set-bit count of every 16-bit value, for counting reached (source, node) pairs
+_BITS8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+_POPCOUNT16 = (_BITS8[:, None] + _BITS8[None, :]).ravel().astype(np.uint8)
 
 
 def char_path_length(g: Graph, chunk: int = 512) -> float:
     """Mean shortest-path length over all unordered node pairs.
 
-    Exact all-sources BFS (chunked to bound memory).  Raises on
-    disconnected input: take the largest connected component first.
-    Returns NaN for the single-node graph, which has no pairs.
+    Exact all-sources BFS, run for a block of ``chunk`` sources (rounded up
+    to a multiple of 64) at a time.  The block's frontier is a bit matrix,
+    one row of uint64 words per node and one bit per source; each BFS level
+    is its boolean product with the CSR adjacency, an OR over every row's
+    neighbors.  Distances are summed as integers.  Raises on disconnected
+    input: take the largest connected component first.  Returns NaN for
+    the single-node graph, which has no pairs.
     """
     if g.n == 1:
         return float("nan")
-    if len(connected_components(g)) != 1:
+    if scipy.sparse.csgraph.connected_components(
+        g.to_csr(np.int8), directed=False, return_labels=False
+    ) != 1:
         raise DisconnectedGraphError(
             "graph is disconnected; apply largest_connected_component first"
         )
-    csr = _to_csr(g)
-    total = 0.0
-    for start in range(0, g.n, chunk):
-        idx = np.arange(start, min(start + chunk, g.n))
-        dist = scipy.sparse.csgraph.dijkstra(
-            csr, directed=False, unweighted=True, indices=idx
-        )
-        total += float(dist.sum())
+    words = -(-min(chunk, g.n) // 64)
+    blocks = _row_blocks(words * degrees(g))  # words gathered per row
+    total = 0
+    for start in range(0, g.n, 64 * words):
+        k = np.arange(min(64 * words, g.n - start))
+        seen = np.zeros((g.n, words), dtype=np.uint64)
+        seen.view(np.uint8)[start + k, k // 8] = 1 << (k % 8)  # source k's bit
+        frontier = seen
+        level = 0
+        while True:
+            level += 1
+            reached = np.empty_like(frontier)
+            for lo, hi in blocks:  # every node has a neighbor (connected, n > 1)
+                first, last = g.indptr[lo], g.indptr[hi]
+                neighbor_bits = np.take(frontier, g.indices[first:last], axis=0)
+                reached[lo:hi] = np.bitwise_or.reduceat(
+                    neighbor_bits, g.indptr[lo:hi] - first, axis=0
+                )
+            reached &= ~seen
+            count = int(_POPCOUNT16[reached.view(np.uint16)].sum(dtype=np.int64))
+            if not count:
+                break
+            seen |= reached
+            total += level * count
+            frontier = reached
     pairs = g.n * (g.n - 1) / 2.0
     return total / 2.0 / pairs
 
@@ -262,7 +297,7 @@ def compare(reference: Graph, generated: Graph) -> StatsRecord:
     d_ref = degrees(reference)
     d_gen = degrees(generated)
     t_ref, _ = triangle_counts(reference)
-    t_gen, total_gen = triangle_counts(generated)
+    t_gen, total_gen = triangle_counts(generated)  # counted once, reused below
 
     if generated.m > 0:
         lcc, _ = largest_connected_component(generated)
@@ -277,6 +312,6 @@ def compare(reference: Graph, generated: Graph) -> StatsRecord:
         assortativity=assortativity(generated),
         triangle_pearson=_pearson(t_ref, t_gen),
         triangle_count=int(total_gen),
-        clustering_coeff=global_clustering(generated),
+        clustering_coeff=_clustering(d_gen, total_gen),
         char_path_length=cpl,
     )

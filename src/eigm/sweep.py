@@ -140,20 +140,15 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _edge_key_set(g: Graph) -> np.ndarray:
-    e = g.edge_array()
-    return e[:, 0] * np.int64(g.n) + e[:, 1]
-
-
 def _pairwise_empirical_overlap(samples: list[Graph], vol: float) -> float:
     """Mean shared-edge fraction over all pairs of already-drawn samples."""
     if len(samples) < 2 or vol <= 0:
         return float("nan")
-    keys = [_edge_key_set(g) for g in samples]
+    keys = [g.edge_keys() for g in samples]
     acc, cnt = 0.0, 0
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
-            acc += len(np.intersect1d(keys[i], keys[j])) / vol
+            acc += len(np.intersect1d(keys[i], keys[j], assume_unique=True)) / vol
             cnt += 1
     return acc / cnt
 

@@ -170,7 +170,7 @@ def test_embedding_input_validation(path3):
 def test_verify_embedding_direct_logits(star4):
     # explicit logits of D^-1 A: log(1/d_i) on neighbors, -1e6 elsewhere
     target = unconstrained_optimum(star4)
-    w = np.where(target > 0, np.log(target, where=target > 0), -1e6)
+    w = np.log(target, out=np.full_like(target, -1e6), where=target > 0)
     max_error, _ = verify_embedding(star4, w)
     assert max_error <= 1e-6
 

@@ -69,6 +69,16 @@ def test_sample_deterministic_bytes(tmp_path, capsys):
         assert b1 == b2
 
 
+def test_sample_oversized_header_is_one_line_error(tmp_path, capsys):
+    pmat = tmp_path / "huge.pmat"
+    pmat.write_text("n=100000000\n0 1 0.5\n", encoding="utf-8")
+    rc = main(["sample", "--input", str(pmat), "--output-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds dense-matrix cap" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_stats_row(tmp_path, capsys):
     ref = tmp_path / "ref.edges"
     ref.write_text("0 1\n1 2\n2 0\n0 3\n", encoding="utf-8")

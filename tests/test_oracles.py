@@ -1,0 +1,189 @@
+"""Property tests: the sparse/vectorized kernels equal the loop oracles."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from eigm import stats
+from eigm.graphs import (
+    Graph,
+    connected_components,
+    largest_connected_component,
+)
+from eigm.stats import char_path_length, compare, global_clustering, triangle_counts
+from eigm.synth import clustered_graph, random_connected_graph
+
+
+@st.composite
+def raw_edge_lists(draw, max_n=12):
+    """(n, edges) with n >= 1; edges repeat, point both ways and loop."""
+    n = draw(st.integers(1, max_n))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return n, edges
+
+
+@st.composite
+def graphs(draw, max_n=12):
+    """Random graphs, including the single-node and edgeless graphs."""
+    return Graph.from_edges(*draw(raw_edge_lists(max_n)))
+
+
+@st.composite
+def equal_size_components(draw):
+    """k >= 2 connected components of one size, node ids shuffled."""
+    size = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    label = draw(st.permutations(range(size * k)))
+    edges = []
+    for c in range(k):
+        nodes = [label[c * size + i] for i in range(size)]
+        edges += list(zip(nodes, nodes[1:]))  # a spanning path
+        if size > 2:
+            pick = st.sampled_from(nodes)
+            edges += draw(st.lists(st.tuples(pick, pick), max_size=size))
+    return Graph.from_edges(size * k, edges)
+
+
+def _assert_same_graph(fast: Graph, slow: Graph):
+    assert fast == slow
+    assert fast.indptr.dtype == slow.indptr.dtype == np.int64
+    assert fast.indices.dtype == slow.indices.dtype == np.int64
+
+
+@given(raw_edge_lists())
+@settings(max_examples=100, deadline=None)
+def test_from_edges_matches_oracle(case):
+    n, edges = case
+    _assert_same_graph(Graph.from_edges(n, edges), oracles.from_edges(n, edges))
+
+
+def test_from_edges_errors_match_oracle():
+    for n, edges in ((3, [(0, 1), (3, 1)]), (2, [(-1, 0)]), (0, [])):
+        with pytest.raises(ValueError) as fast:
+            Graph.from_edges(n, edges)
+        with pytest.raises(ValueError) as slow:
+            oracles.from_edges(n, edges)
+        assert str(fast.value) == str(slow.value)
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_edge_array_matches_oracle(g):
+    e = g.edge_array()
+    ref = oracles.edge_array(g)
+    assert e.shape == ref.shape == (g.m, 2)
+    assert e.dtype == ref.dtype and np.array_equal(e, ref)
+    assert np.array_equal(g.edge_keys(), ref[:, 0] * g.n + ref[:, 1])
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_triangle_counts_match_oracle(g):
+    t, total = triangle_counts(g)
+    t_ref, total_ref = oracles.triangle_counts(g)
+    assert t.dtype == np.int64 and np.array_equal(t, t_ref)
+    assert type(total) is int and total == total_ref
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_connected_components_match_oracle(g):
+    assert connected_components(g) == oracles.connected_components(g)
+
+
+@given(st.one_of(graphs(), equal_size_components()))
+@settings(max_examples=100, deadline=None)
+def test_largest_connected_component_matches_oracle(g):
+    lcc, id_map = largest_connected_component(g)
+    lcc_ref, id_map_ref = oracles.largest_connected_component(g)
+    _assert_same_graph(lcc, lcc_ref)
+    assert id_map.original_ids == id_map_ref.original_ids
+
+
+@given(equal_size_components())
+@settings(max_examples=50, deadline=None)
+def test_lcc_tie_breaks_toward_smallest_id(g):
+    _, id_map = largest_connected_component(g)
+    assert id_map.original_ids[0] == 0
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_char_path_length_matches_dijkstra(g):
+    lcc, _ = largest_connected_component(g)
+    if lcc.n == 1:
+        assert math.isnan(char_path_length(lcc))
+    else:
+        assert char_path_length(lcc) == oracles.char_path_length(lcc)
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_compare_clustering_matches_global_clustering(g):
+    rec = compare(g, g)
+    expected = global_clustering(g)
+    assert rec.clustering_coeff == expected or (
+        math.isnan(rec.clustering_coeff) and math.isnan(expected)
+    )
+
+
+@st.composite
+def corrupted_graphs(draw):
+    """A valid graph whose CSR arrays had one neighbor id overwritten."""
+    g = draw(graphs(max_n=8).filter(lambda g: g.m > 0))
+    indices = g.indices.copy()
+    indices[draw(st.integers(0, len(indices) - 1))] = draw(st.integers(-1, g.n))
+    return Graph(n=g.n, indptr=g.indptr, indices=indices, m=g.m)
+
+
+def _accepts(check, g) -> bool:
+    try:
+        check(g)
+    except AssertionError:
+        return False
+    return True
+
+
+@given(st.one_of(graphs(), corrupted_graphs()))
+@settings(max_examples=150, deadline=None)
+def test_validate_matches_oracle(g):
+    assert _accepts(Graph.validate, g) == _accepts(oracles.validate, g)
+
+
+def test_validate_rejects_each_broken_invariant():
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])  # indices [1, 0, 2, 1]
+    broken = [
+        np.array([1, 0, 2, 2]),  # self-loop at 2 (and asymmetric)
+        np.array([1, 2, 0, 1]),  # row 1 unsorted
+        np.array([2, 0, 2, 1]),  # (0, 2) without (2, 0)
+        np.array([1, 0, 3, 1]),  # neighbor id out of range
+    ]
+    cases = [Graph(n=3, indptr=path.indptr, indices=i, m=2) for i in broken]
+    # a mirrored duplicate pair is symmetric but not simple
+    cases.append(Graph(n=2, indptr=np.array([0, 2, 4]), indices=np.array([1, 1, 0, 0]), m=2))
+    for g in cases:
+        assert not _accepts(Graph.validate, g)
+        assert not _accepts(oracles.validate, g)
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 100, 512])
+def test_char_path_length_source_blocks(chunk):
+    # n > 64 puts the sources in several bit-word blocks
+    for seed in range(3):
+        g = random_connected_graph(150, 0.03, seed=seed)
+        assert char_path_length(g, chunk=chunk) == oracles.char_path_length(g)
+
+
+def test_row_blocked_kernels_match_oracles(monkeypatch):
+    g, _ = largest_connected_component(clustered_graph(20, 6, 0.01, seed=1))
+    t_ref, total_ref = oracles.triangle_counts(g)
+    cpl_ref = oracles.char_path_length(g)
+    monkeypatch.setattr(stats, "_BLOCK_ENTRIES", 40)  # many small row blocks
+    t, total = triangle_counts(g)
+    assert np.array_equal(t, t_ref) and total == total_ref
+    assert char_path_length(g) == cpl_ref

@@ -85,6 +85,13 @@ def test_constructor_validation():
     assert np.all(np.diagonal(p.mat) == 0.0)
 
 
+def test_constructor_names_non_finite_entries():
+    # NaN != NaN, so a symmetry test alone would misreport this matrix
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            ProbMatrix.from_array([[0.0, bad], [bad, 0.0]])
+
+
 def test_to_dense_examples(triangle):
     single = Graph.from_edges(2, [(0, 1)])
     assert np.array_equal(to_dense(single).mat, [[0, 1], [1, 0]])
@@ -263,4 +270,11 @@ def test_persistence_rejects_bad_input(tmp_path):
         load_probmatrix(path)
     path.write_text("0 1 0.5\n")
     with pytest.raises(ValueError):
+        load_probmatrix(path)
+
+
+def test_load_checks_capacity_before_allocating(tmp_path):
+    path = tmp_path / "huge.pmat"
+    path.write_text("n=100000000\n0 1 0.5\n")
+    with pytest.raises(CapacityError):
         load_probmatrix(path)
