@@ -53,10 +53,7 @@ def unconstrained_optimum(a: Graph) -> np.ndarray:
     d = degrees(a)
     if np.any(d == 0):
         raise ValueError("graph has isolated nodes; D^-1 A undefined")
-    out = np.zeros((a.n, a.n))
-    for i in range(a.n):
-        out[i, a.neighbors(i)] = 1.0 / d[i]
-    return out
+    return a.to_csr(np.float64).toarray() / d[:, None]
 
 
 def cell_objective(a: Graph, row_stochastic: np.ndarray) -> float:

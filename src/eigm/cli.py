@@ -20,7 +20,7 @@ from .graphs import (
     load_edge_list,
     serialize_edge_list,
 )
-from .modelzoo import ModelSpec, build_model
+from .modelzoo import KNOB_KEYS, MODEL_KINDS, ModelSpec
 from .oddsproduct import fit_odds_product
 from .probmatrix import load_probmatrix, sample, save_probmatrix
 from .rng import derive_seed
@@ -28,6 +28,7 @@ from .stats import STAT_COLUMNS, compare, triangle_counts
 from .svgplot import render_sweep_svg
 from .sweep import (
     ExperimentConfig,
+    _parse_grid,
     parse_config,
     reference_record,
     run_sweep,
@@ -118,14 +119,11 @@ def cmd_stats(args) -> int:
 
 
 def _specs_from_flags(args) -> tuple[ModelSpec, ...]:
-    knob_flag = {"linear": "omega", "ccop": "omega", "hdop": "h", "tsvd": "rank"}[
-        args.model
-    ]
+    knob_flag = KNOB_KEYS[args.model]
     raw = getattr(args, knob_flag)
     if raw is None:
         raise ValueError(f"--model {args.model} needs --{knob_flag}")
-    knobs = [float(tok) for tok in str(raw).replace(",", " ").split()]
-    return tuple(ModelSpec(args.model, k) for k in knobs)
+    return tuple(ModelSpec(args.model, k) for k in _parse_grid(raw, args.model))
 
 
 def cmd_sweep(args) -> int:
@@ -186,37 +184,27 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lines = [BOUND_CSV_HEADER]
-    held = 0
-    total = 0
-    if args.theorem == "tri":
+    if args.theorem == "cc":
+        reports = [
+            check_cc_tightness(args.n, args.gamma, samples=args.trials, seed=args.seed)
+        ]
+    else:
+        # trial sizes are drawn from [n_min, max(n, n_min)]
+        n_min = 2 if args.theorem == "tri" else 4
+        reports = []
         for t in range(args.trials):
-            n = 2 + derive_seed(args.seed, "verify-n", t) % max(1, args.n - 1)
+            n = n_min + derive_seed(args.seed, "verify-n", t) % max(1, args.n - n_min + 1)
             scale = 1.0 if t % 2 == 0 else 0.1
             p = random_probmatrix(n, derive_seed(args.seed, "verify-P", t), scale)
-            report = check_triangle_bound(p)
-            lines.append(report.csv_row())
-            held += report.holds
-            total += 1
-    elif args.theorem == "kcycle":
-        for t in range(args.trials):
-            n = 4 + derive_seed(args.seed, "verify-n", t) % max(1, args.n - 3)
-            scale = 1.0 if t % 2 == 0 else 0.1
-            p = random_probmatrix(n, derive_seed(args.seed, "verify-P", t), scale)
-            report = check_kcycle_bound(p, args.k)
-            lines.append(report.csv_row())
-            held += report.holds
-            total += 1
-    else:  # cc
-        report = check_cc_tightness(
-            args.n, args.gamma, samples=args.trials, seed=args.seed
-        )
-        lines.append(report.csv_row())
-        held += report.holds
-        total += 1
+            if args.theorem == "tri":
+                reports.append(check_triangle_bound(p))
+            else:
+                reports.append(check_kcycle_bound(p, args.k))
+    lines = [BOUND_CSV_HEADER] + [r.csv_row() for r in reports]
+    held = sum(r.holds for r in reports)
     _write_or_print("\n".join(lines) + "\n", args.output)
-    print(f"{held}/{total} hold")
-    return 0 if held == total else 1
+    print(f"{held}/{len(reports)} hold")
+    return 0 if held == len(reports) else 1
 
 
 def cmd_cell_verify(args) -> int:
@@ -280,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=None)
     p.add_argument("--plot", action="store_true", help="also emit sweep.svg")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--model", choices=("linear", "ccop", "hdop", "tsvd"),
+    p.add_argument("--model", choices=MODEL_KINDS,
                    default=None, help="single-model mode instead of a config file")
     p.add_argument("--omega", default=None,
                    help="omega value or comma list (linear, ccop)")

@@ -33,7 +33,9 @@ __all__ = [
     "build_model",
 ]
 
-MODEL_KINDS = ("linear", "ccop", "hdop", "tsvd")
+# Each model kind and the name of its knob, as a sweep config key and a CLI flag.
+KNOB_KEYS = {"linear": "omega", "ccop": "omega", "hdop": "h", "tsvd": "rank"}
+MODEL_KINDS = tuple(KNOB_KEYS)
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,7 @@ def to_dense(g: Graph, cap: int = DEFAULT_DENSE_CAP) -> ProbMatrix:
     """Binary probability matrix of a graph; a model that memorizes it."""
     if g.n > cap:
         raise CapacityError(f"n={g.n} exceeds dense-matrix cap {cap}")
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u in range(g.n):
-        a[u, g.neighbors(u)] = 1.0
+    a = g.to_csr(np.float64).toarray()
     a.flags.writeable = False
     return ProbMatrix(mat=a)
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .modelzoo import ModelSpec, build_model
+from .modelzoo import KNOB_KEYS, ModelSpec, build_model
 from .probmatrix import ProbMatrix, overlap, sample, volume
 from .rng import derive_seed
 from .stats import STAT_COLUMNS, StatsRecord, compare, triangle_counts
-from .stats import char_path_length, global_clustering, assortativity, powerlaw_alpha
+from .stats import _clustering, char_path_length, assortativity, powerlaw_alpha
 from .graphs import degrees
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "sweep_csv_header",
     "reference_record",
 ]
-
-_KNOB_KEYS = {"linear": "omega", "ccop": "omega", "hdop": "h", "tsvd": "rank"}
 
 
 @dataclass(frozen=True)
@@ -119,10 +117,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for kind in cp.sections():
         if kind == "__global__":
             continue
-        if kind not in _KNOB_KEYS:
+        if kind not in KNOB_KEYS:
             raise ValueError(f"unknown model section [{kind}]")
         section = cp[kind]
-        knob_key = _KNOB_KEYS[kind]
+        knob_key = KNOB_KEYS[kind]
         if knob_key not in section:
             raise ValueError(f"section [{kind}] missing knob key '{knob_key}'")
         eps = float(section.get("eps", "1e-6"))
@@ -229,6 +227,6 @@ def reference_record(reference: Graph) -> StatsRecord:
         assortativity=assortativity(reference),
         triangle_pearson=1.0,
         triangle_count=int(total),
-        clustering_coeff=global_clustering(reference),
+        clustering_coeff=_clustering(d, total),
         char_path_length=char_path_length(reference),
     )

@@ -1,10 +1,10 @@
 """Slow, loop-based reference implementations of the graph and statistics
-kernels.
+kernels, and the node-level odds-product fit.
 
 ``eigm`` computes these quantities with ``scipy.sparse``/``csgraph``
-primitives.  The functions here state the definitions directly, one node
-or edge at a time, and serve as oracles for the property tests in
-``test_oracles.py``.
+primitives and fits the odds-product model on degree classes.  The
+functions here state the definitions directly, one node or edge at a
+time, and serve as oracles for the property tests in ``test_oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,14 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from eigm.graphs import Graph, NodeIdMap
+from eigm.oddsproduct import (
+    EXCLUDED_LOGIT,
+    FitConvergenceError,
+    FitReport,
+    _prob_from_logits,
+    _solve_step,
+)
+from eigm.probmatrix import ProbMatrix
 
 
 def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
@@ -152,3 +160,84 @@ def char_path_length(g: Graph) -> float:
     )
     dist = scipy.sparse.csgraph.dijkstra(a, directed=False, unweighted=True)
     return float(dist.sum()) / 2.0 / (g.n * (g.n - 1) / 2.0)
+
+
+def fit_odds_product(
+    d: np.ndarray,
+    eps: float = 1e-6,
+    max_iter: int = 100,
+    damped: bool = True,
+) -> tuple[np.ndarray, ProbMatrix, FitReport]:
+    """Damped Newton on one logit per node: each step solves the dense
+    n x n system J = B + diag(B @ 1), B = P * (1 - P) with zero diagonal.
+    Same contract as :func:`eigm.oddsproduct.fit_odds_product`."""
+    d = np.asarray(d, dtype=np.float64)
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError("degree sequence must be a nonempty vector")
+    n = d.size
+    if np.any(d < 0) or np.any(d > n - 1):
+        raise ValueError("degrees must lie in [0, n-1]")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+
+    active = np.flatnonzero(d > 0)
+    logits = np.full(n, EXCLUDED_LOGIT, dtype=np.float64)
+
+    if active.size == 0:
+        report = FitReport(0, [0.0], True, 0.0)
+        return logits, ProbMatrix.from_array(np.zeros((n, n))), report
+
+    da = d[active]
+    na = active.size
+    ell = np.zeros(na)
+    p = _prob_from_logits(ell)
+    r = p.sum(axis=1) - da
+    res = float(np.linalg.norm(r))
+    history = [res]
+    target = min(eps, 10.0 * eps / np.sqrt(n))
+    ridge_used = False
+    iterations = 0
+    stalled = False
+
+    while res > target and iterations < max_iter:
+        b = p * (1.0 - p)
+        np.fill_diagonal(b, 0.0)
+        jac = b + np.diag(b.sum(axis=1))
+        step, ridged = _solve_step(jac, r)
+        ridge_used = ridge_used or ridged
+        eta = 1.0
+        improved = False
+        for _ in range(31):
+            ell_try = ell - eta * step
+            p_try = _prob_from_logits(ell_try)
+            r_try = p_try.sum(axis=1) - da
+            res_try = float(np.linalg.norm(r_try))
+            if res_try < res or not damped:
+                improved = True
+                break
+            eta *= 0.5
+        if not improved:
+            stalled = True
+            break
+        ell, p, r, res = ell_try, p_try, r_try, res_try
+        history.append(res)
+        iterations += 1
+
+    converged = res <= eps
+    logits[active] = ell
+    full = _prob_from_logits(logits)
+    report = FitReport(
+        iterations=iterations,
+        residual_history=history,
+        converged=converged,
+        final_max_abs_error=float(np.abs(full.sum(axis=1) - d).max()),
+        ridge_used=ridge_used,
+    )
+    if not converged:
+        reason = "line search stalled" if stalled else f"max_iter={max_iter} reached"
+        raise FitConvergenceError(
+            f"degree fit did not converge ({reason}, residual {res:.3e} > {eps:g}); "
+            "the target sequence may not be graphical",
+            report,
+        )
+    return logits, ProbMatrix.from_array(full), report

@@ -204,6 +204,18 @@ def test_sweep_single_model_flags(tmp_path, capsys):
     assert rc == 1  # missing --h
 
 
+def test_sweep_empty_knob_flag_fails_like_empty_config_grid(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 2\n2 0\n", encoding="utf-8")
+    config = tmp_path / "s.cfg"
+    config.write_text("[linear]\nomega =\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(config), "--input", str(edges)]) == 1
+    from_config = capsys.readouterr().err
+    assert main(["sweep", "--model", "linear", "--omega", "", "--input", str(edges)]) == 1
+    from_flag = capsys.readouterr().err
+    assert from_flag == from_config == "error: empty knob grid for linear\n"
+
+
 def test_sweep_cli_overrides(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("0 1\n1 2\n2 0\n0 3\n3 4\n", encoding="utf-8")

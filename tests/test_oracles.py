@@ -1,4 +1,5 @@
-"""Property tests: the sparse/vectorized kernels equal the loop oracles."""
+"""Property tests: the sparse/vectorized kernels equal the loop oracles, and
+the degree-class odds-product fit equals the node-level Newton fit."""
 
 import math
 
@@ -12,8 +13,10 @@ from eigm import stats
 from eigm.graphs import (
     Graph,
     connected_components,
+    degrees,
     largest_connected_component,
 )
+from eigm.oddsproduct import FitConvergenceError, fit_odds_product
 from eigm.stats import char_path_length, compare, global_clustering, triangle_counts
 from eigm.synth import clustered_graph, random_connected_graph
 
@@ -187,3 +190,70 @@ def test_row_blocked_kernels_match_oracles(monkeypatch):
     t, total = triangle_counts(g)
     assert np.array_equal(t, t_ref) and total == total_ref
     assert char_path_length(g) == cpl_ref
+
+
+@st.composite
+def sequences_with_zeros(draw, max_n=12):
+    n = draw(st.integers(2, max_n))
+    d = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    return np.array(draw(st.permutations(d + [0])))
+
+
+@st.composite
+def all_equal_sequences(draw, max_n=12):
+    """One degree class (k = 1)."""
+    n = draw(st.integers(1, max_n))
+    return np.full(n, draw(st.integers(0, n - 1)))
+
+
+@st.composite
+def all_distinct_sequences(draw, max_n=12):
+    """n distinct fractional targets in (0, n - 1), so k = n."""
+    n = draw(st.integers(2, max_n))
+    tenths = st.integers(1, 10 * (n - 1) - 1)
+    return np.array(draw(st.lists(tenths, min_size=n, max_size=n, unique=True))) / 10
+
+
+def _fit_outcome(fit, d, damped):
+    try:
+        return fit(d, damped=damped)
+    except FitConvergenceError as exc:
+        return exc
+
+
+@given(
+    st.one_of(
+        graphs().map(degrees),
+        sequences_with_zeros(),
+        all_equal_sequences(),
+        all_distinct_sequences(),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_class_fit_matches_node_oracle(d, damped):
+    # Expected differences: a failing fit may stop at another iteration with
+    # another residual in its message (near-singular steps round differently
+    # in the k x k and n x n systems), and ``ridge_used`` may differ, since a
+    # singular node Jacobian can have a nonsingular class restriction (see
+    # test_class_fit_needs_no_ridge_on_two_equal_degrees).
+    slow = _fit_outcome(oracles.fit_odds_product, d, damped)
+    fast = _fit_outcome(fit_odds_product, d, damped)
+    if isinstance(slow, FitConvergenceError):
+        assert isinstance(fast, FitConvergenceError)
+        return
+    assert not isinstance(fast, FitConvergenceError), str(fast)
+    (_, p_slow, report_slow), (_, p_fast, report_fast) = slow, fast
+    assert report_fast.iterations == report_slow.iterations
+    assert report_fast.converged == report_slow.converged
+    assert np.abs(p_fast.mat - p_slow.mat).max() <= 1e-12
+
+
+def test_class_fit_needs_no_ridge_on_two_equal_degrees():
+    # d = [1, 1]: the node Jacobian [[b, b], [b, b]] is singular, the 1 x 1
+    # class Jacobian [2b] is not; both fits reach the same P
+    _, p_slow, report_slow = oracles.fit_odds_product(np.array([1, 1]))
+    _, p_fast, report_fast = fit_odds_product(np.array([1, 1]))
+    assert report_slow.ridge_used and not report_fast.ridge_used
+    assert report_fast.iterations == report_slow.iterations
+    assert np.abs(p_fast.mat - p_slow.mat).max() <= 1e-12

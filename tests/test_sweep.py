@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigm.modelzoo import ModelSpec
-from eigm.stats import STAT_COLUMNS
+from eigm.stats import STAT_COLUMNS, global_clustering
 from eigm.svgplot import render_sweep_svg
 from eigm.sweep import (
     ExperimentConfig,
@@ -82,6 +82,7 @@ def test_sweep_memorization_limit(reference):
     assert row.overlap_empirical == pytest.approx(1.0)
     assert row.means["triangle_count"] == pytest.approx(ref.triangle_count)
     assert row.stds["triangle_count"] == 0.0
+    assert ref.clustering_coeff == global_clustering(reference)
 
 
 def test_sweep_overlap_monotone_for_linear(reference):
