@@ -26,7 +26,6 @@ from .probmatrix import (
     expected_kcycles_exact,
     expected_kcycles_trace,
     expected_triangles,
-    overlap,
     sample,
     volume,
 )
@@ -79,42 +78,40 @@ def _ov_times_vol(p: ProbMatrix) -> float:
     return float((p.mat**2).sum() / 2.0)
 
 
-def check_triangle_bound(p: ProbMatrix) -> BoundReport:
-    """Exact expected triangles against (sqrt(2)/3) * (Ov * V)^{3/2}."""
-    lhs = expected_triangles(p)
-    rhs = (math.sqrt(2.0) / 3.0) * _ov_times_vol(p) ** 1.5
-    return BoundReport(
-        theorem="triangles",
-        mode="exact-trace",
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs * (1.0 + _EXACT_SLACK),
-    )
-
-
-def check_kcycle_bound(p: ProbMatrix, k: int) -> BoundReport:
-    """Expected k-cycles against (2^{k/2} / 2k) * (Ov * V)^{k/2}.
-
-    Small instances (n <= 14, k <= 6) use the combinatorial oracle for the
-    left side; larger ones fall back to the trace value, which dominates
-    the true expectation, so the comparison stays valid.
-    """
-    if not 3 <= k <= 6:
-        raise ValueError("k must be in [3, 6]")
+def _cycle_bound(p: ProbMatrix, k: int, theorem: str, mode: str, lhs: float) -> BoundReport:
+    """Report ``lhs`` against the k-cycle bound (2^{k/2} / 2k) * (Ov * V)^{k/2}."""
     rhs = (2.0 ** (k / 2.0) / (2.0 * k)) * _ov_times_vol(p) ** (k / 2.0)
-    if p.n <= 14:
-        lhs = expected_kcycles_exact(p, k)
-        mode = "brute-force"
-    else:
-        lhs = expected_kcycles_trace(p, k)
-        mode = "exact-trace"
     return BoundReport(
-        theorem=f"{k}-cycles",
+        theorem=theorem,
         mode=mode,
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs * (1.0 + _EXACT_SLACK),
     )
+
+
+def check_triangle_bound(p: ProbMatrix) -> BoundReport:
+    """Exact expected triangles against (sqrt(2)/3) * (Ov * V)^{3/2}.
+
+    This is the k-cycle bound at k = 3: 2^{3/2} / 6 equals sqrt(2)/3.
+    """
+    return _cycle_bound(p, 3, "triangles", "exact-trace", expected_triangles(p))
+
+
+def check_kcycle_bound(p: ProbMatrix, k: int) -> BoundReport:
+    """Expected k-cycles against (2^{k/2} / 2k) * (Ov * V)^{k/2}.
+
+    Small instances (n <= 14, k <= 6) use the combinatorial count for the
+    left side; larger ones fall back to the trace value, which dominates
+    the true expectation, so the comparison stays valid.
+    """
+    if not 3 <= k <= 6:
+        raise ValueError("k must be in [3, 6]")
+    if p.n <= 14:
+        lhs, mode = expected_kcycles_exact(p, k), "brute-force"
+    else:
+        lhs, mode = expected_kcycles_trace(p, k), "exact-trace"
+    return _cycle_bound(p, k, f"{k}-cycles", mode, lhs)
 
 
 def check_cc_tightness(

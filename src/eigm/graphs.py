@@ -99,15 +99,9 @@ class Graph:
         deg = np.bincount(all_u, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
-        # duplicate pair detection: within-row neighbor ids strictly increase
-        if indices.size > 1:
-            gaps = np.diff(indices)
-            boundary = np.zeros(len(indices) - 1, dtype=bool)
-            rs = indptr[1:-1]
-            rs = rs[(rs > 0) & (rs < len(indices))]
-            boundary[rs - 1] = True
-            if np.any((gaps <= 0) & ~boundary):
-                raise ValueError("duplicate pairs")
+        # a repeated pair sorts into two equal adjacent (row, neighbor) entries
+        if np.any((np.diff(all_u[order]) == 0) & (np.diff(indices) == 0)):
+            raise ValueError("duplicate pairs")
         g = cls(n=n, indptr=indptr, indices=indices, m=len(us))
         g._freeze()
         return g
@@ -118,9 +112,6 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def adjacency_lists(self) -> list[np.ndarray]:
-        return [self.neighbors(i) for i in range(self.n)]
 
     def edge_array(self) -> np.ndarray:
         """(m, 2) array of edges with u < v, sorted lexicographically."""

@@ -15,7 +15,7 @@ overlap is controlled by a single knob, all preserving the input's volume:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

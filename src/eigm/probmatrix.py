@@ -157,9 +157,8 @@ def empirical_overlap(p: ProbMatrix, seed: int, trials: int) -> float:
 
 
 def expected_triangles(p: ProbMatrix) -> float:
-    """Exact expected triangle count: trace(P^3) / 6."""
-    m = p.mat
-    return float(np.trace(m @ m @ m) / 6.0)
+    """Exact expected triangle count: trace(P^3) / 6, the k = 3 cycle count."""
+    return expected_kcycles_trace(p, 3)
 
 
 def expected_kcycles_trace(p: ProbMatrix, k: int) -> float:
@@ -177,28 +176,23 @@ def expected_kcycles_trace(p: ProbMatrix, k: int) -> float:
 
 
 def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:
-    """Expected k-cycle count by enumeration over distinct node tuples.
+    """Exact expected k-cycle count: the edge-probability product summed
+    over every k-cycle once.
 
-    Combinatorial oracle: sums the cycle-edge probability product over all
-    ordered k-tuples of distinct nodes and divides by 2k (each cycle is
-    visited once per starting node and direction).  Restricted to small
-    instances by design.
+    A k-cycle is a set of k nodes in a cyclic order, up to rotation and
+    reflection.  Each node set is taken in the (k-1)!/2 orders that start
+    at its first node and whose second node precedes its last.  Restricted
+    to small instances by design.
     """
     n = p.n
     if n > 14 or k > 6:
         raise ValueError("exact k-cycle oracle limited to n <= 14, k <= 6")
     if k < 3:
         raise ValueError("k must be >= 3")
-    rows = [row.tolist() for row in p.mat]
-    total = 0.0
-    for tup in itertools.permutations(range(n), k):
-        prob = rows[tup[-1]][tup[0]]
-        if prob == 0.0:
-            continue
-        for a in range(k - 1):
-            prob *= rows[tup[a]][tup[a + 1]]
-        total += prob
-    return total / (2.0 * k)
+    sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    orders = [(0, *q) for q in itertools.permutations(range(1, k)) if q[0] < q[-1]]
+    cyc = sets.reshape(-1, k)[:, orders]
+    return float(p.mat[cyc, np.roll(cyc, -1, axis=-1)].prod(-1).sum())
 
 
 def convex_combine(p: ProbMatrix, a: ProbMatrix, omega: float) -> ProbMatrix:
@@ -220,8 +214,10 @@ def save_probmatrix(p: ProbMatrix, path) -> None:
     keep = probs > 0.0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n={p.n}\n")
-        for i, j, v in zip(iu[keep], ju[keep], probs[keep]):
-            fh.write(f"{i} {j} {v:.17g}\n")
+        fh.writelines(
+            f"{i} {j} {v:.17g}\n"
+            for i, j, v in zip(iu[keep].tolist(), ju[keep].tolist(), probs[keep].tolist())
+        )
 
 
 def load_probmatrix(path) -> ProbMatrix:

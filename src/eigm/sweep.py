@@ -18,13 +18,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, degrees
 from .modelzoo import KNOB_KEYS, ModelSpec, build_model
-from .probmatrix import ProbMatrix, overlap, sample, volume
+from .probmatrix import overlap, sample, volume
 from .rng import derive_seed
-from .stats import STAT_COLUMNS, StatsRecord, compare, triangle_counts
-from .stats import _clustering, char_path_length, assortativity, powerlaw_alpha
-from .graphs import degrees
+from .stats import (
+    STAT_COLUMNS,
+    StatsRecord,
+    _clustering,
+    assortativity,
+    char_path_length,
+    compare,
+    powerlaw_alpha,
+    triangle_counts,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -170,14 +177,14 @@ def evaluate_point(
     """Build, sample, and score one grid point; failures become marked rows."""
     try:
         p = build_model(reference, spec)
-    except Exception as exc:  # fit failures poison one row, not the sweep
+        ov = overlap(p)
+        drawn = [
+            sample(p, derive_seed(seed, spec.kind, spec.knob, t))
+            for t in range(samples)
+        ]
+        records = [compare(reference, g) for g in drawn]
+    except Exception as exc:  # a failure at any stage poisons one row, not the sweep
         return _nan_row(spec, f"error: {exc}")
-    ov = overlap(p)
-    drawn = [
-        sample(p, derive_seed(seed, spec.kind, spec.knob, t))
-        for t in range(samples)
-    ]
-    records = [compare(reference, g) for g in drawn]
     table = np.array([r.as_tuple() for r in records], dtype=np.float64)
     means = {c: float(table[:, k].mean()) for k, c in enumerate(STAT_COLUMNS)}
     if samples > 1:

@@ -1,13 +1,16 @@
 """Slow, loop-based reference implementations of the graph and statistics
-kernels, and the node-level odds-product fit.
+kernels, the node-level odds-product fit and the exact k-cycle count.
 
 ``eigm`` computes these quantities with ``scipy.sparse``/``csgraph``
-primitives and fits the odds-product model on degree classes.  The
-functions here state the definitions directly, one node or edge at a
-time, and serve as oracles for the property tests in ``test_oracles.py``.
+primitives, fits the odds-product model on degree classes and lists each
+k-cycle once.  The functions here state the definitions directly, one
+node, edge or tuple at a time, and serve as oracles for the property
+tests in ``test_oracles.py``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import scipy.sparse
@@ -241,3 +244,19 @@ def fit_odds_product(
             report,
         )
     return logits, ProbMatrix.from_array(full), report
+
+
+def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:
+    """Sum the cycle-edge probability product over all ordered k-tuples of
+    distinct nodes and divide by 2k: each cycle is visited once per
+    starting node and direction."""
+    rows = [row.tolist() for row in p.mat]
+    total = 0.0
+    for tup in itertools.permutations(range(p.n), k):
+        prob = rows[tup[-1]][tup[0]]
+        if prob == 0.0:
+            continue
+        for a in range(k - 1):
+            prob *= rows[tup[a]][tup[a + 1]]
+        total += prob
+    return total / (2.0 * k)

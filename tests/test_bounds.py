@@ -53,6 +53,14 @@ def test_triangle_bound_on_binary_triangle(triangle):
     assert report.mode == "exact-trace"
 
 
+def test_triangle_bound_is_the_3cycle_bound():
+    p = random_probmatrix(20, seed=3)
+    tri, cyc = check_triangle_bound(p), check_kcycle_bound(p, 3)
+    assert tri.rhs == cyc.rhs
+    assert tri.lhs == cyc.lhs
+    assert (tri.theorem, cyc.theorem) == ("triangles", "3-cycles")
+
+
 def test_triangle_bound_er_ratio():
     report = check_triangle_bound(er_construction(100, 0.5))
     assert report.ratio == pytest.approx(0.9849, abs=1e-3)

@@ -216,6 +216,20 @@ def test_sweep_empty_knob_flag_fails_like_empty_config_grid(tmp_path, capsys):
     assert from_flag == from_config == "error: empty knob grid for linear\n"
 
 
+def test_sweep_failure_at_any_stage_is_a_marked_row(tmp_path, capsys):
+    # the LCC of a lone self-loop is one node: ccop builds a zero-volume
+    # model there and fails in overlap, linear fails to build
+    edges = tmp_path / "loop.edges"
+    edges.write_text("0 0\n", encoding="utf-8")
+    rc = main(["sweep", "--input", str(edges), "--output-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "all grid points failed\n"
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10
+    assert all(",error: " in row for row in rows)
+    assert sum(row.endswith("error: overlap undefined: volume is zero") for row in rows) == 5
+
+
 def test_sweep_cli_overrides(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("0 1\n1 2\n2 0\n0 3\n3 4\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigm.graphs import (
     EdgeListParseError,
@@ -115,6 +116,29 @@ def test_from_pairs_matches_from_edges():
     assert a == b
     with pytest.raises(ValueError):
         Graph.from_pairs(4, np.array([2]), np.array([1]))
+
+
+@st.composite
+def upper_pair_lists(draw):
+    """(n, pairs) with 0 <= u < v < n; pairs may repeat."""
+    n = draw(st.integers(2, 8))
+    pair = st.integers(1, n - 1).flatmap(
+        lambda v: st.tuples(st.integers(0, v - 1), st.just(v))
+    )
+    return n, draw(st.lists(pair, max_size=12))
+
+
+@given(upper_pair_lists())
+@settings(max_examples=200, deadline=None)
+def test_from_pairs_raises_iff_a_pair_repeats(case):
+    n, pairs = case
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    if len(set(pairs)) < len(pairs):
+        with pytest.raises(ValueError, match="duplicate pairs"):
+            Graph.from_pairs(n, us, vs)
+    else:
+        assert Graph.from_pairs(n, us, vs) == Graph.from_edges(n, pairs)
 
 
 def test_id_map_compose():

@@ -1,5 +1,6 @@
-"""Property tests: the sparse/vectorized kernels equal the loop oracles, and
-the degree-class odds-product fit equals the node-level Newton fit."""
+"""Property tests: the sparse/vectorized kernels equal the loop oracles, the
+degree-class odds-product fit equals the node-level Newton fit, and the
+once-per-cycle k-cycle count equals the ordered-tuple sum."""
 
 import math
 
@@ -17,6 +18,7 @@ from eigm.graphs import (
     largest_connected_component,
 )
 from eigm.oddsproduct import FitConvergenceError, fit_odds_product
+from eigm.probmatrix import ProbMatrix, expected_kcycles_exact
 from eigm.stats import char_path_length, compare, global_clustering, triangle_counts
 from eigm.synth import clustered_graph, random_connected_graph
 
@@ -257,3 +259,31 @@ def test_class_fit_needs_no_ridge_on_two_equal_degrees():
     assert report_slow.ridge_used and not report_fast.ridge_used
     assert report_fast.iterations == report_slow.iterations
     assert np.abs(p_fast.mat - p_slow.mat).max() <= 1e-12
+
+
+@st.composite
+def cycle_cases(draw):
+    """(P, k): n in 1..10 (n < k included), binary or fractional entries,
+    with zeros.  Nonzero fractions are >= 1e-3, so no product of six of
+    them underflows to zero."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        entry = st.sampled_from([0.0, 1.0])
+    else:
+        entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    iu = np.triu_indices(n, 1)
+    a = np.zeros((n, n))
+    a[iu] = draw(st.lists(entry, min_size=len(iu[0]), max_size=len(iu[0])))
+    return ProbMatrix.from_array(a + a.T), k
+
+
+@given(cycle_cases())
+@settings(max_examples=150, deadline=None)
+def test_kcycles_exact_matches_ordered_tuple_oracle(case):
+    p, k = case
+    fast, slow = expected_kcycles_exact(p, k), oracles.expected_kcycles_exact(p, k)
+    if slow == 0.0:
+        assert fast == 0.0
+    else:
+        assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)

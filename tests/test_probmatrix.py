@@ -260,6 +260,20 @@ def test_persistence_round_trip(tmp_path):
     assert text.splitlines()[0] == "n=6"
 
 
+def test_persistence_text_format(tmp_path):
+    a = np.zeros((4, 4))
+    a[0, 1], a[0, 3], a[1, 2], a[2, 3] = 0.1, 1 / 3, 1.0, 2.5e-7
+    path = tmp_path / "p.pmat"
+    save_probmatrix(ProbMatrix.from_array(a + a.T), path)
+    assert path.read_text() == (
+        "n=4\n"
+        "0 1 0.10000000000000001\n"
+        "0 3 0.33333333333333331\n"
+        "1 2 1\n"
+        "2 3 2.4999999999999999e-07\n"
+    )
+
+
 def test_persistence_rejects_bad_input(tmp_path):
     path = tmp_path / "bad.pmat"
     path.write_text("n=3\n0 1 1.5\n")
