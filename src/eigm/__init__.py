@@ -10,7 +10,6 @@ clustering-coefficient density bounds implied by bounded overlap.
 from .graphs import (
     EdgeListParseError,
     Graph,
-    NodeIdMap,
     degrees,
     largest_connected_component,
     load_edge_list,

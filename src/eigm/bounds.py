@@ -23,6 +23,7 @@ import numpy as np
 from .probmatrix import (
     ProbMatrix,
     ZeroVolumeError,
+    _check_dense_cap,
     expected_kcycles_exact,
     expected_kcycles_trace,
     expected_triangles,
@@ -67,7 +68,7 @@ class BoundReport:
             repr(float(self.rhs)),
             repr(float(self.ratio)),
             str(self.holds),
-            "nan" if math.isnan(self.std_err) else repr(float(self.std_err)),
+            repr(float(self.std_err)),
         ]
         return ",".join(fields)
 
@@ -166,6 +167,7 @@ def er_construction(n: int, gamma: float) -> ProbMatrix:
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    _check_dense_cap(n)
     a = np.full((n, n), gamma)
     np.fill_diagonal(a, 0.0)
     return ProbMatrix.from_array(a)

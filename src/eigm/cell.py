@@ -67,25 +67,18 @@ def cell_objective(a: Graph, row_stochastic: np.ndarray) -> float:
     return total
 
 
-def _stationary_distribution(
-    p_star: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000
-) -> np.ndarray:
+def _stationary_distribution(p_star: np.ndarray) -> np.ndarray:
     """Left fixed point pi with pi^T P* = pi^T, normalized to sum 1.
 
-    Power iteration on the lazy chain (pi + pi P*)/2, which has the same
-    stationary vector but no periodicity, so bipartite-like supports
-    (e.g. walk matrices of trees) still converge.
+    Solves (P* - I)^T pi = 0 with its last equation replaced by
+    sum(pi) = 1; for an irreducible P* that system is nonsingular.
     """
     n = p_star.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        pi = 0.5 * (pi + pi @ p_star)
-        pi /= pi.sum()
-        if np.abs(pi @ p_star - pi).max() <= tol:
-            return pi
-    raise RuntimeError(
-        f"stationary distribution not found in {max_iter} iterations at tol {tol}"
-    )
+    a = p_star.T - np.eye(n)
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
 
 
 def cell_symmetrize(p_star: np.ndarray) -> ProbMatrix:

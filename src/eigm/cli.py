@@ -42,9 +42,9 @@ CELL_CSV_HEADER = "n,max_degree,rank_bound,numerical_rank,max_error"
 
 def _load_preprocessed(path):
     """Load an edge list and reduce it to its largest connected component."""
-    g, load_map = load_edge_list(path)
-    lcc, lcc_map = largest_connected_component(g)
-    return lcc, load_map.compose(lcc_map)
+    g, ids = load_edge_list(path)
+    lcc, kept = largest_connected_component(g)
+    return lcc, tuple(ids[i] for i in kept)
 
 
 def _write_or_print(text: str, output: str | None) -> None:
@@ -64,7 +64,7 @@ def cmd_ingest(args) -> int:
         serialize_edge_list(g), encoding="utf-8"
     )
     map_lines = ["dense_index,original_id"]
-    map_lines += [f"{i},{orig}" for i, orig in enumerate(id_map.original_ids)]
+    map_lines += [f"{i},{orig}" for i, orig in enumerate(id_map)]
     (out_dir / f"{stem}_idmap.csv").write_text(
         "\n".join(map_lines) + "\n", encoding="utf-8"
     )

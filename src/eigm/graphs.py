@@ -13,7 +13,7 @@ listing work on whole index arrays, and connected components come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -21,7 +21,6 @@ import scipy.sparse.csgraph
 
 __all__ = [
     "Graph",
-    "NodeIdMap",
     "EdgeListParseError",
     "parse_edge_list",
     "load_edge_list",
@@ -169,49 +168,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class NodeIdMap:
-    """Bijection between original node ids and dense 0-based indices."""
-
-    original_ids: tuple[int, ...]
-    _index_of: dict[int, int] = field(repr=False, default_factory=dict)
-
-    @classmethod
-    def from_originals(cls, original_ids) -> "NodeIdMap":
-        ids = tuple(int(x) for x in original_ids)
-        index_of = {orig: i for i, orig in enumerate(ids)}
-        if len(index_of) != len(ids):
-            raise ValueError("original ids are not unique")
-        return cls(original_ids=ids, _index_of=index_of)
-
-    def index_of(self, original_id: int) -> int:
-        return self._index_of[original_id]
-
-    def original_of(self, index: int) -> int:
-        return self.original_ids[index]
-
-    def compose(self, inner: "NodeIdMap") -> "NodeIdMap":
-        """Map produced by applying ``self`` first, then ``inner``.
-
-        ``inner.original_ids`` are interpreted as dense indices of ``self``.
-        """
-        return NodeIdMap.from_originals(
-            self.original_ids[i] for i in inner.original_ids
-        )
-
-    def __len__(self) -> int:
-        return len(self.original_ids)
-
-
-def parse_edge_list(text: str) -> tuple[Graph, NodeIdMap]:
-    """Parse a line-oriented edge list into a graph plus id map.
+def parse_edge_list(text: str) -> tuple[Graph, tuple[int, ...]]:
+    """Parse a line-oriented edge list into a graph plus its id map.
 
     Each non-comment line holds two whitespace-separated nonnegative
     integer node ids, optionally followed by a weight column which is
     ignored (edges are binarized).  Lines starting with '#' or '%' and
     blank lines are skipped.  Edges are deduplicated and symmetrized,
     self-loops dropped; every id mentioned in the file becomes a node.
-    Dense indices are assigned in increasing order of original id.
+    Dense indices are assigned in increasing order of original id; the
+    returned id map holds the original id of each dense index.
     """
     seen_ids: set[int] = set()
     raw_edges: list[tuple[int, int]] = []
@@ -237,12 +203,13 @@ def parse_edge_list(text: str) -> tuple[Graph, NodeIdMap]:
         raw_edges.append((u, v))
     if not seen_ids:
         raise EdgeListParseError(None, "edge list is empty (no nodes)")
-    id_map = NodeIdMap.from_originals(sorted(seen_ids))
-    edges = ((id_map.index_of(u), id_map.index_of(v)) for u, v in raw_edges)
+    id_map = tuple(sorted(seen_ids))
+    index_of = {orig: i for i, orig in enumerate(id_map)}
+    edges = ((index_of[u], index_of[v]) for u, v in raw_edges)
     return Graph.from_edges(len(id_map), edges), id_map
 
 
-def load_edge_list(path) -> tuple[Graph, NodeIdMap]:
+def load_edge_list(path) -> tuple[Graph, tuple[int, ...]]:
     """Read and parse an edge-list file; see :func:`parse_edge_list`."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
@@ -288,12 +255,12 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [c.tolist() for c in np.split(order, bounds)]
 
 
-def largest_connected_component(g: Graph) -> tuple[Graph, NodeIdMap]:
+def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the largest component, nodes reindexed.
 
     Ties between equal-size components break toward the one containing the
-    smallest node id, so the result is deterministic.  The returned map
-    sends new dense indices to the ids they had in ``g``.
+    smallest node id, so the result is deterministic.  The returned tuple
+    holds, for each new dense index, the id that node had in ``g``.
     """
     _, labels = _component_labels(g)
     best = int(np.argmax(np.bincount(labels)))  # first maximum: smallest id
@@ -303,4 +270,4 @@ def largest_connected_component(g: Graph) -> tuple[Graph, NodeIdMap]:
     e = g.edge_array()
     e = e[keep[e[:, 0]]]
     lcc = Graph.from_pairs(len(nodes), new_index[e[:, 0]], new_index[e[:, 1]])
-    return lcc, NodeIdMap.from_originals(nodes.tolist())
+    return lcc, tuple(nodes.tolist())

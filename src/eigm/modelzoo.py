@@ -51,10 +51,6 @@ class ModelSpec:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
-    def label(self) -> str:
-        knob = int(self.knob) if self.kind in ("hdop", "tsvd") else self.knob
-        return f"{self.kind}[{knob}]"
-
 
 def linear_model(a: Graph, omega: float) -> ProbMatrix:
     """Uniform-volume base blended with the adjacency.

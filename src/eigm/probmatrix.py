@@ -47,6 +47,12 @@ class CapacityError(ValueError):
     """Graph too large for the dense-matrix code paths."""
 
 
+def _check_dense_cap(n: int, cap: int = DEFAULT_DENSE_CAP) -> None:
+    """Refuse an n above the cap before anything of size n is allocated."""
+    if n > cap:
+        raise CapacityError(f"n={n} exceeds dense-matrix cap {cap}")
+
+
 class ZeroVolumeError(ValueError):
     """Operation undefined for a matrix with zero expected edge count."""
 
@@ -98,8 +104,7 @@ class ProbMatrix:
 
 def to_dense(g: Graph, cap: int = DEFAULT_DENSE_CAP) -> ProbMatrix:
     """Binary probability matrix of a graph; a model that memorizes it."""
-    if g.n > cap:
-        raise CapacityError(f"n={g.n} exceeds dense-matrix cap {cap}")
+    _check_dense_cap(g.n, cap)
     a = g.to_csr(np.float64).toarray()
     a.flags.writeable = False
     return ProbMatrix(mat=a)
@@ -229,8 +234,7 @@ def load_probmatrix(path) -> ProbMatrix:
         n = int(header[2:])
         if n <= 0:
             raise ValueError("n must be positive")
-        if n > DEFAULT_DENSE_CAP:
-            raise CapacityError(f"n={n} exceeds dense-matrix cap {DEFAULT_DENSE_CAP}")
+        _check_dense_cap(n)
         a = np.zeros((n, n), dtype=np.float64)
         for line_no, raw in enumerate(fh, start=2):
             line = raw.strip()

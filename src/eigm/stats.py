@@ -81,16 +81,10 @@ class StatsRecord:
         return tuple(getattr(self, c) for c in STAT_COLUMNS)
 
     def to_csv_row(self) -> str:
-        parts = []
-        for c in STAT_COLUMNS:
-            v = getattr(self, c)
-            if isinstance(v, float) and math.isnan(v):
-                parts.append("nan")
-            elif isinstance(v, (int, np.integer)):
-                parts.append(str(int(v)))
-            else:
-                parts.append(repr(float(v)))
-        return ",".join(parts)
+        return ",".join(
+            str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+            for v in self.as_tuple()
+        )
 
 
 # cap on the entries held by one row block of a sparse product (A @ A, or

@@ -14,18 +14,14 @@ _MARGIN = 48
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _finite(v: float) -> bool:
-    return not (math.isnan(v) or math.isinf(v))
-
-
 def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
     out = []
     pts_all = []
     for model, pts in rows_by_model.items():
         for x, y in pts:
-            if _finite(x) and _finite(y):
+            if math.isfinite(x) and math.isfinite(y):
                 pts_all.append(y)
-    if ref_value is not None and _finite(ref_value):
+    if ref_value is not None and math.isfinite(ref_value):
         pts_all.append(ref_value)
     if not pts_all:
         pts_all = [0.0, 1.0]
@@ -62,7 +58,7 @@ def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
             f'<text x="{left - 4}" y="{py(val) + 3:.1f}" text-anchor="end" '
             f'font-size="9">{val:.3g}</text>'
         )
-    if ref_value is not None and _finite(ref_value) and lo <= ref_value <= hi:
+    if ref_value is not None and math.isfinite(ref_value) and lo <= ref_value <= hi:
         y = py(ref_value)
         out.append(
             f'<line x1="{left}" y1="{y:.1f}" x2="{left + width}" y2="{y:.1f}" '
@@ -72,7 +68,7 @@ def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
         coords = [
             f"{px(x):.1f},{py(y):.1f}"
             for x, y in pts
-            if _finite(x) and _finite(y)
+            if math.isfinite(x) and math.isfinite(y)
         ]
         if len(coords) >= 2:
             out.append(

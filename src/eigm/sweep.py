@@ -11,27 +11,17 @@ grid points are independent and may be evaluated concurrently.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import Graph, degrees
+from .graphs import Graph
 from .modelzoo import KNOB_KEYS, ModelSpec, build_model
 from .probmatrix import overlap, sample, volume
 from .rng import derive_seed
-from .stats import (
-    STAT_COLUMNS,
-    StatsRecord,
-    _clustering,
-    assortativity,
-    char_path_length,
-    compare,
-    powerlaw_alpha,
-    triangle_counts,
-)
+from .stats import STAT_COLUMNS, StatsRecord, compare
 
 __all__ = [
     "ExperimentConfig",
@@ -75,22 +65,11 @@ class SweepRow:
     status: str = "ok"
 
     def csv_row(self) -> str:
-        parts = [
-            self.model,
-            _fmt(self.knob),
-            _fmt(self.overlap_expected),
-            _fmt(self.overlap_empirical),
-        ]
+        nan = float("nan")
+        values = [self.knob, self.overlap_expected, self.overlap_empirical]
         for c in STAT_COLUMNS:
-            parts.append(_fmt(self.means.get(c, float("nan"))))
-            parts.append(_fmt(self.stds.get(c, float("nan"))))
-        parts.append(self.status)
-        return ",".join(parts)
-
-
-def _fmt(v: float) -> str:
-    v = float(v)
-    return "nan" if math.isnan(v) else repr(v)
+            values += [self.means.get(c, nan), self.stds.get(c, nan)]
+        return ",".join([self.model, *(repr(float(v)) for v in values), self.status])
 
 
 def sweep_csv_header() -> str:
@@ -209,31 +188,21 @@ def run_sweep(
     workers: int | None = None,
 ) -> list[SweepRow]:
     """Evaluate all grid points (concurrently) and return rows sorted by (model, knob)."""
-    specs = list(specs)
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers == 1 or len(specs) == 1:
-        rows = [evaluate_point(reference, s, samples, seed) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda s: evaluate_point(reference, s, samples, seed), specs)
-            )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(
+            pool.map(lambda s: evaluate_point(reference, s, samples, seed), specs)
+        )
     rows.sort(key=lambda r: (r.model, r.knob))
     return rows
 
 
 def reference_record(reference: Graph) -> StatsRecord:
-    """The reference graph scored against itself (correlations are 1)."""
-    d = degrees(reference)
-    _, total = triangle_counts(reference)
-    return StatsRecord(
-        degree_pearson=1.0,
-        max_degree=int(d.max()),
-        powerlaw_alpha=powerlaw_alpha(d),
-        assortativity=assortativity(reference),
-        triangle_pearson=1.0,
-        triangle_count=int(total),
-        clustering_coeff=_clustering(d, total),
-        char_path_length=char_path_length(reference),
-    )
+    """The reference graph scored against itself.
+
+    Both correlations are pinned to 1: ``compare`` reports NaN for a
+    constant sequence, as on a regular or triangle-free reference.
+    """
+    record = compare(reference, reference)
+    return replace(record, degree_pearson=1.0, triangle_pearson=1.0)

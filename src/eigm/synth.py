@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph
-from .probmatrix import ProbMatrix
+from .probmatrix import ProbMatrix, _check_dense_cap
 from .rng import make_rng
 
 __all__ = [
@@ -21,6 +21,7 @@ def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
     """Symmetric matrix with iid uniform [0, scale] entries, zero diagonal."""
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
+    _check_dense_cap(n)
     rng = make_rng(seed)
     a = np.zeros((n, n))
     iu = np.triu_indices(n, 1)
@@ -39,10 +40,16 @@ def random_bounded_degree_graph(n: int, dmax: int, seed: int) -> Graph:
     """Random graph with max degree <= dmax and no isolated nodes.
 
     Greedy edge insertion under the degree cap, then isolated nodes are
-    attached to any node with spare capacity.  Requires n >= 2, dmax >= 1.
+    attached to any node with spare capacity.  If none has any, every
+    other node is at dmax, and one edge (u, v) is routed through the
+    isolated node instead: u and v keep their degrees, and it gets 2.
+    Requires n >= 2, dmax >= 1, and an even n when dmax = 1.
     """
     if n < 2 or dmax < 1:
         raise ValueError("need n >= 2 and dmax >= 1")
+    if dmax == 1 and n % 2:
+        raise ValueError("dmax = 1 needs an even n (a perfect matching)")
+    _check_dense_cap(n)
     rng = make_rng(seed)
     adj: list[set[int]] = [set() for _ in range(n)]
     for _ in range(4 * n * dmax):
@@ -58,7 +65,13 @@ def random_bounded_degree_graph(n: int, dmax: int, seed: int) -> Graph:
                     adj[j].add(i)
                     break
             else:
-                raise RuntimeError("no spare capacity to attach isolated node")
+                u = next(j for j in range(n) if adj[j])
+                v = min(adj[u])
+                adj[u].remove(v)
+                adj[v].remove(u)
+                adj[i].update((u, v))
+                adj[u].add(i)
+                adj[v].add(i)
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
     return Graph.from_edges(n, edges)
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from eigm.graphs import Graph, NodeIdMap
+from eigm.graphs import Graph
 from eigm.oddsproduct import (
     EXCLUDED_LOGIT,
     FitConvergenceError,
@@ -76,7 +76,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def largest_connected_component(g: Graph) -> tuple[Graph, NodeIdMap]:
+def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Largest component (ties toward the smallest node id), reindexed."""
     comps = connected_components(g)
     best = max(comps, key=lambda c: (len(c), -c[0]))
@@ -87,7 +87,7 @@ def largest_connected_component(g: Graph) -> tuple[Graph, NodeIdMap]:
             v_old = int(v_old)
             if v_old in keep and u_old < v_old:
                 edges.append((keep[u_old], keep[v_old]))
-    return from_edges(len(best), edges), NodeIdMap.from_originals(best)
+    return from_edges(len(best), edges), tuple(best)
 
 
 def edge_array(g: Graph) -> np.ndarray:

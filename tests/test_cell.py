@@ -95,6 +95,29 @@ def test_cell_symmetrize_stationarity_tolerance():
     assert pi.sum() == pytest.approx(1.0)
 
 
+@given(st.integers(1, 12), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_stationary_distribution_solves_the_fixed_point(n, seed):
+    from eigm.cell import _stationary_distribution
+
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    a[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # a cycle: irreducible
+    p_star = a / a.sum(axis=1, keepdims=True)
+    pi = _stationary_distribution(p_star)
+    assert np.all(pi > 0) and pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(pi @ p_star - pi).max() <= 1e-12
+
+
+def test_stationary_distribution_of_a_periodic_walk():
+    from eigm.cell import _stationary_distribution
+
+    # the walk on a path is periodic (bipartite); pi is still d / 2m
+    path = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    pi = _stationary_distribution(unconstrained_optimum(path))
+    assert pi == pytest.approx(degrees(path) / 8.0, abs=1e-15)
+
+
 def test_cell_symmetrize_uniform():
     n = 4
     # uniform P* carries self-transition mass; the constructor zeroes the

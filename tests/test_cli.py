@@ -244,3 +244,14 @@ def test_sweep_cli_overrides(tmp_path, capsys):
     assert len(lines) == 2
     row = lines[1].split(",")
     assert row[0] == "linear" and float(row[2]) == 1.0
+
+
+def test_ingest_idmap_maps_lcc_to_original_ids(tmp_path):
+    # non-contiguous ids; the component {3, 11} is dropped by the LCC
+    path = tmp_path / "gappy.edges"
+    path.write_text("40 7\n7 25\n25 40\n40 90\n3 11\n", encoding="utf-8")
+    assert main(["ingest", "--input", str(path), "--output-dir", str(tmp_path)]) == 0
+    idmap = (tmp_path / "gappy_idmap.csv").read_text().splitlines()
+    assert idmap == ["dense_index,original_id", "0,7", "1,25", "2,40", "3,90"]
+    g, _ = parse_edge_list((tmp_path / "gappy_normalized.edges").read_text())
+    assert g.edge_array().tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]

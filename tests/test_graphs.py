@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from eigm.graphs import (
     EdgeListParseError,
     Graph,
-    NodeIdMap,
     connected_components,
     degrees,
     largest_connected_component,
@@ -21,7 +20,7 @@ from conftest import small_graphs
 def test_parse_path():
     g, id_map = parse_edge_list("0 1\n1 2\n")
     assert g.n == 3 and g.m == 2
-    assert id_map.original_ids == (0, 1, 2)
+    assert id_map == (0, 1, 2)
 
 
 def test_parse_dedup_and_self_loop():
@@ -33,8 +32,8 @@ def test_parse_comments_and_weights():
     text = "# comment\n% another\n\n5 9 0.25\n9 12 3\n"
     g, id_map = parse_edge_list(text)
     assert g.n == 3 and g.m == 2
-    assert id_map.original_ids == (5, 9, 12)
-    assert id_map.index_of(9) == 1
+    assert id_map == (5, 9, 12)
+    assert id_map.index(9) == 1
 
 
 def test_parse_errors_carry_line_numbers():
@@ -55,7 +54,7 @@ def test_parse_empty_is_error():
 def test_noncontiguous_ids_densified():
     g, id_map = parse_edge_list("100 7\n7 42\n")
     assert g.n == 3
-    assert id_map.original_ids == (7, 42, 100)
+    assert id_map == (7, 42, 100)
     # edge (7,100) -> dense (0,2)
     assert 2 in g.neighbors(0)
 
@@ -72,20 +71,20 @@ def test_lcc_tie_break_two_triangles():
     )
     lcc, id_map = largest_connected_component(g)
     assert lcc.n == 3 and lcc.m == 3
-    assert id_map.original_ids == (0, 1, 2)
+    assert id_map == (0, 1, 2)
 
 
 def test_lcc_already_connected(triangle):
     lcc, id_map = largest_connected_component(triangle)
     assert lcc == triangle
-    assert id_map.original_ids == (0, 1, 2)
+    assert id_map == (0, 1, 2)
 
 
 def test_lcc_star_plus_edge():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
     lcc, id_map = largest_connected_component(g)
     assert lcc.n == 4 and lcc.m == 3
-    assert id_map.original_ids == (0, 1, 2, 3)
+    assert id_map == (0, 1, 2, 3)
 
 
 def test_lcc_idempotent():
@@ -141,13 +140,6 @@ def test_from_pairs_raises_iff_a_pair_repeats(case):
         assert Graph.from_pairs(n, us, vs) == Graph.from_edges(n, pairs)
 
 
-def test_id_map_compose():
-    outer = NodeIdMap.from_originals([10, 20, 30, 40])
-    inner = NodeIdMap.from_originals([2, 0])
-    composed = outer.compose(inner)
-    assert composed.original_ids == (30, 10)
-
-
 def test_load_edge_list(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("0 1\n1 2\n", encoding="utf-8")
@@ -168,7 +160,7 @@ def test_serialize_isolated_nodes():
     text = serialize_edge_list(g)
     assert text.splitlines() == ["# n=4 m=1", "0 0", "1 3", "2 2"]
     g2, id_map = parse_edge_list(text)
-    assert g2 == g and id_map.original_ids == (0, 1, 2, 3)
+    assert g2 == g and id_map == (0, 1, 2, 3)
 
 
 @given(small_graphs())

@@ -182,5 +182,3 @@ def test_volume_preserved_across_zoo(test_graphs):
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec("nope", 0.5)
-    assert ModelSpec("tsvd", 3).label() == "tsvd[3]"
-    assert ModelSpec("linear", 0.25).label() == "linear[0.25]"

@@ -107,14 +107,14 @@ def test_largest_connected_component_matches_oracle(g):
     lcc, id_map = largest_connected_component(g)
     lcc_ref, id_map_ref = oracles.largest_connected_component(g)
     _assert_same_graph(lcc, lcc_ref)
-    assert id_map.original_ids == id_map_ref.original_ids
+    assert id_map == id_map_ref
 
 
 @given(equal_size_components())
 @settings(max_examples=50, deadline=None)
 def test_lcc_tie_breaks_toward_smallest_id(g):
     _, id_map = largest_connected_component(g)
-    assert id_map.original_ids[0] == 0
+    assert id_map[0] == 0
 
 
 @given(graphs())

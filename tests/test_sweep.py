@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eigm.modelzoo import ModelSpec
-from eigm.stats import STAT_COLUMNS, global_clustering
+from eigm.graphs import Graph
+from eigm.stats import STAT_COLUMNS, compare, global_clustering
 from eigm.svgplot import render_sweep_svg
 from eigm.sweep import (
     ExperimentConfig,
@@ -14,7 +15,7 @@ from eigm.sweep import (
     run_sweep,
     sweep_csv_header,
 )
-from eigm.synth import random_connected_graph
+from eigm.synth import clustered_graph, random_connected_graph
 
 CONFIG_TEXT = """\
 # demo sweep
@@ -163,3 +164,26 @@ def test_render_sweep_svg(reference):
     assert "polyline" in svg
     # deterministic output
     assert svg == render_sweep_svg(rows, reference_record(reference))
+
+
+@pytest.mark.parametrize(
+    "graph, nan_fields",
+    [
+        # every node lies in 15 triangles; bridges make the degrees vary
+        (clustered_graph(100, 7, 5e-4, seed=2), {"triangle_pearson"}),
+        # regular and triangle-free
+        (
+            Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+            {"degree_pearson", "triangle_pearson"},
+        ),
+    ],
+)
+def test_reference_record_is_compare_with_correlations_pinned(graph, nan_fields):
+    ref = reference_record(graph)
+    self_record = compare(graph, graph)
+    assert ref.degree_pearson == ref.triangle_pearson == 1.0
+    assert all(math.isnan(getattr(self_record, c)) for c in nan_fields)
+    for c in STAT_COLUMNS:
+        if c not in ("degree_pearson", "triangle_pearson"):
+            # repr: exact equality that also matches NaN with NaN
+            assert repr(getattr(ref, c)) == repr(getattr(self_record, c)), c
