@@ -305,6 +305,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a bare MemoryError() carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -65,9 +65,10 @@ def linear_model(a: Graph, omega: float) -> ProbMatrix:
     if n < 2:
         raise ValueError("linear model needs at least 2 nodes")
     q = 2.0 * a.m / (n * (n - 1.0))
-    base = np.full((n, n), q)
-    np.fill_diagonal(base, 0.0)
-    return convex_combine(ProbMatrix.from_array(base), to_dense(a), omega)
+    p = omega * to_dense(a).mat
+    p += (1.0 - omega) * q
+    np.fill_diagonal(p, 0.0)
+    return ProbMatrix.from_array(p)
 
 
 def ccop(a: Graph, omega: float, eps: float = 1e-6, max_iter: int = 100) -> ProbMatrix:

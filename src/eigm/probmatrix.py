@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .rng import derive_seed, make_rng
+from .rng import make_rng
 
 __all__ = [
     "ProbMatrix",
@@ -127,11 +127,6 @@ def overlap(p: ProbMatrix) -> float:
     return float((p.mat**2).sum() / 2.0 / vol)
 
 
-def _upper(p: ProbMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(p.n, 1)
-    return iu, ju, p.mat[iu, ju]
-
-
 def sample(p: ProbMatrix, seed: int) -> Graph:
     """Draw one graph from the model, deterministically in ``seed``.
 
@@ -139,26 +134,26 @@ def sample(p: ProbMatrix, seed: int) -> Graph:
     uniform draw from a Philox stream keyed by ``seed``, in row-major
     order of the upper triangle; the pair is an edge iff draw < P[i, j].
     """
-    iu, ju, probs = _upper(p)
-    u = make_rng(seed).random(len(probs))
-    keep = u < probs
-    return Graph.from_pairs(p.n, iu[keep], ju[keep])
+    n = p.n
+    upper = np.triu(np.ones((n, n), bool), 1)
+    hit = np.zeros((n, n), bool)
+    hit[upper] = make_rng(seed).random(n * (n - 1) // 2) < p.mat[upper]
+    return Graph.from_pairs(n, *np.nonzero(hit))
 
 
-def empirical_overlap(p: ProbMatrix, seed: int, trials: int) -> float:
-    """Monte-Carlo overlap estimate from ``trials`` independent sample pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def empirical_overlap(p: ProbMatrix, samples: list[Graph]) -> float:
+    """Monte-Carlo overlap: the mean shared-edge fraction over all pairs of
+    samples already drawn from ``p``; NaN for fewer than two samples."""
     vol = volume(p)
     if vol <= 0.0:
         raise ZeroVolumeError("empirical overlap undefined: volume is zero")
+    if len(samples) < 2:
+        return float("nan")
+    pairs = list(itertools.combinations([g.edge_keys() for g in samples], 2))
     acc = 0.0
-    for t in range(trials):
-        g1 = sample(p, derive_seed(seed, "overlap-pair", t, 0))
-        g2 = sample(p, derive_seed(seed, "overlap-pair", t, 1))
-        shared = np.intersect1d(g1.edge_keys(), g2.edge_keys(), assume_unique=True)
-        acc += len(shared) / vol
-    return acc / trials
+    for k1, k2 in pairs:
+        acc += len(np.intersect1d(k1, k2, assume_unique=True)) / vol
+    return acc / len(pairs)
 
 
 def expected_triangles(p: ProbMatrix) -> float:
@@ -215,13 +210,12 @@ def convex_combine(p: ProbMatrix, a: ProbMatrix, omega: float) -> ProbMatrix:
 
 def save_probmatrix(p: ProbMatrix, path) -> None:
     """Write the text-triplet format: header "n=<n>", then "i j p" (i < j, p > 0)."""
-    iu, ju, probs = _upper(p)
-    keep = probs > 0.0
+    iu, ju = np.nonzero(np.triu(p.mat > 0.0, 1))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n={p.n}\n")
         fh.writelines(
             f"{i} {j} {v:.17g}\n"
-            for i, j, v in zip(iu[keep].tolist(), ju[keep].tolist(), probs[keep].tolist())
+            for i, j, v in zip(iu.tolist(), ju.tolist(), p.mat[iu, ju].tolist())
         )
 
 

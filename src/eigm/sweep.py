@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphs import Graph
 from .modelzoo import KNOB_KEYS, ModelSpec, build_model
-from .probmatrix import overlap, sample, volume
+from .probmatrix import empirical_overlap, overlap, sample
 from .rng import derive_seed
 from .stats import STAT_COLUMNS, StatsRecord, compare
 
@@ -124,19 +124,6 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _pairwise_empirical_overlap(samples: list[Graph], vol: float) -> float:
-    """Mean shared-edge fraction over all pairs of already-drawn samples."""
-    if len(samples) < 2 or vol <= 0:
-        return float("nan")
-    keys = [g.edge_keys() for g in samples]
-    acc, cnt = 0.0, 0
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            acc += len(np.intersect1d(keys[i], keys[j], assume_unique=True)) / vol
-            cnt += 1
-    return acc / cnt
-
-
 def _nan_row(spec: ModelSpec, status: str) -> SweepRow:
     nan = float("nan")
     return SweepRow(
@@ -161,6 +148,7 @@ def evaluate_point(
             sample(p, derive_seed(seed, spec.kind, spec.knob, t))
             for t in range(samples)
         ]
+        ov_empirical = empirical_overlap(p, drawn)
         records = [compare(reference, g) for g in drawn]
     except Exception as exc:  # a failure at any stage poisons one row, not the sweep
         return _nan_row(spec, f"error: {exc}")
@@ -174,7 +162,7 @@ def evaluate_point(
         model=spec.kind,
         knob=spec.knob,
         overlap_expected=ov,
-        overlap_empirical=_pairwise_empirical_overlap(drawn, volume(p)),
+        overlap_empirical=ov_empirical,
         means=means,
         stds=stds,
     )

@@ -10,7 +10,6 @@ from .rng import make_rng
 
 __all__ = [
     "random_probmatrix",
-    "random_er_graph",
     "random_bounded_degree_graph",
     "powerlaw_configuration_graph",
     "random_connected_graph",
@@ -22,18 +21,14 @@ def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
     _check_dense_cap(n)
-    rng = make_rng(seed)
+    vals = make_rng(seed).random(n * (n - 1) // 2)
+    vals *= scale
+    upper = np.triu(np.ones((n, n), bool), 1)
     a = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    a[iu] = rng.random(len(iu[0])) * scale
-    return ProbMatrix.from_array(a + a.T)
-
-
-def random_er_graph(n: int, prob: float, seed: int) -> Graph:
-    rng = make_rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(len(iu)) < prob
-    return Graph.from_pairs(n, iu[keep], ju[keep])
+    a[upper] = vals
+    a.T[upper] = vals
+    del vals, upper  # from_array copies a: free the rest first
+    return ProbMatrix.from_array(a)
 
 
 def random_bounded_degree_graph(n: int, dmax: int, seed: int) -> Graph:

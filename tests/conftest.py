@@ -3,7 +3,8 @@ import pytest
 from hypothesis import strategies as st
 
 from eigm.graphs import Graph
-from eigm.probmatrix import ProbMatrix
+from eigm.probmatrix import ProbMatrix, empirical_overlap, sample
+from eigm.rng import derive_seed
 
 
 def graph_from_pair_list(n, pairs):
@@ -56,6 +57,17 @@ def small_graphs(draw, min_n=2, max_n=8, min_degree=0):
                 used.add(i)
                 used.add(j)
     return Graph.from_edges(n, edges)
+
+
+def pair_overlap_mean(p: ProbMatrix, seed: int, trials: int) -> float:
+    """Mean of ``empirical_overlap`` over ``trials`` fresh sample pairs."""
+    return sum(
+        empirical_overlap(
+            p,
+            [sample(p, derive_seed(seed, "overlap-pair", t, k)) for k in (0, 1)],
+        )
+        for t in range(trials)
+    ) / trials
 
 
 @st.composite

@@ -1,10 +1,13 @@
 """Slow, loop-based reference implementations of the graph and statistics
-kernels, the node-level odds-product fit and the exact k-cycle count.
+kernels, the node-level odds-product fit and the exact k-cycle count, and
+index-array statements of the sampler, the text format and the random
+probability matrix.
 
 ``eigm`` computes these quantities with ``scipy.sparse``/``csgraph``
-primitives, fits the odds-product model on degree classes and lists each
-k-cycle once.  The functions here state the definitions directly, one
-node, edge or tuple at a time, and serve as oracles for the property
+primitives, fits the odds-product model on degree classes, lists each
+k-cycle once and walks the upper triangle through boolean masks.  The
+functions here state the definitions directly, one node, edge, tuple or
+explicit (i, j) pair at a time, and serve as oracles for the property
 tests in ``test_oracles.py``.
 """
 
@@ -25,6 +28,7 @@ from eigm.oddsproduct import (
     _solve_step,
 )
 from eigm.probmatrix import ProbMatrix
+from eigm.rng import make_rng
 
 
 def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
@@ -260,3 +264,32 @@ def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:
             prob *= rows[tup[a]][tup[a + 1]]
         total += prob
     return total / (2.0 * k)
+
+
+def sample(p: ProbMatrix, seed: int) -> Graph:
+    """The reproducibility contract as written: the upper-triangle pairs
+    (i, j), i < j, in row-major order take one uniform draw each from the
+    Philox stream of ``seed``; a pair is an edge iff its draw < P[i, j]."""
+    iu, ju = np.triu_indices(p.n, 1)
+    keep = make_rng(seed).random(len(iu)) < p.mat[iu, ju]
+    return Graph.from_pairs(p.n, iu[keep], ju[keep])
+
+
+def probmatrix_text(p: ProbMatrix) -> str:
+    """The text-triplet format: "n=<n>", then "i j p" for each upper-triangle
+    pair with p > 0, in row-major order."""
+    lines = [f"n={p.n}\n"]
+    for i, j in zip(*np.triu_indices(p.n, 1)):
+        v = float(p.mat[i, j])
+        if v > 0.0:
+            lines.append(f"{i} {j} {v:.17g}\n")
+    return "".join(lines)
+
+
+def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
+    """Upper-triangle pairs in row-major order take one uniform draw each,
+    times ``scale``; the lower triangle mirrors them."""
+    a = np.zeros((n, n))
+    iu = np.triu_indices(n, 1)
+    a[iu] = make_rng(seed).random(len(iu[0])) * scale
+    return ProbMatrix.from_array(a + a.T)

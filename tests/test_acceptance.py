@@ -17,6 +17,7 @@ from eigm.bounds import (
     check_cc_tightness,
     check_kcycle_bound,
     check_triangle_bound,
+    er_construction,
     er_triangle_tightness_ratio,
 )
 from eigm.cell import vandermonde_embedding, verify_embedding
@@ -30,11 +31,11 @@ from eigm.graphs import (
 from eigm.modelzoo import ModelSpec, build_model, linear_model
 from eigm.oddsproduct import degree_jacobian, fit_odds_product, predicted_degrees
 from eigm.probmatrix import (
-    empirical_overlap,
     expected_kcycles_exact,
     expected_kcycles_trace,
     expected_triangles,
     overlap,
+    sample,
     volume,
 )
 from eigm.rng import derive_seed, make_rng
@@ -43,11 +44,10 @@ from eigm.synth import (
     powerlaw_configuration_graph,
     random_bounded_degree_graph,
     random_connected_graph,
-    random_er_graph,
     random_probmatrix,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, pair_overlap_mean
 
 DATA_DIR = Path(os.environ.get("EIGM_DATA_DIR", "data"))
 
@@ -240,7 +240,7 @@ def test_c09_sampler_consistency():
         n = 12 + derive_seed(808, t) % 29  # n in [12, 40]
         p = random_probmatrix(n, seed=derive_seed(909, t))
         trials = 20
-        est = empirical_overlap(p, seed=derive_seed(111, t), trials=trials)
+        est = pair_overlap_mean(p, derive_seed(111, t), trials)
         ov = overlap(p)
         vol = volume(p)
         pairs_sq = (p.mat**2).sum() / 2.0
@@ -265,7 +265,7 @@ def test_c10_statistics_oracles():
     for t in range(200):
         n = 3 + derive_seed(121, t) % 6  # n in [3, 8]
         prob = 0.2 + 0.6 * (derive_seed(131, t) % 100) / 100.0
-        g = random_er_graph(n, prob, seed=derive_seed(141, t))
+        g = sample(er_construction(n, prob), derive_seed(141, t))
         t_vec, total = triangle_counts(g)
         adj = [set(map(int, g.neighbors(i))) for i in range(g.n)]
         oracle_vec = np.zeros(g.n, dtype=int)

@@ -103,6 +103,17 @@ def test_verify_tri_summary(capsys, tmp_path):
     assert len(lines) == 26
 
 
+def test_memory_error_is_one_line_error(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("eigm.cli.random_probmatrix", out_of_memory)
+    assert main(["verify", "--theorem", "tri", "--trials", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and err[0][len("error: "):].strip()
+
+
 def test_verify_kcycle(capsys):
     rc = main(["verify", "--theorem", "kcycle", "--n", "8", "--k", "4",
                "--trials", "10", "--seed", "2"])

@@ -1,8 +1,11 @@
 """Property tests: the sparse/vectorized kernels equal the loop oracles, the
-degree-class odds-product fit equals the node-level Newton fit, and the
-once-per-cycle k-cycle count equals the ordered-tuple sum."""
+degree-class odds-product fit equals the node-level Newton fit, the
+once-per-cycle k-cycle count equals the ordered-tuple sum, and the masked
+sampler, text writer and random matrix equal their index-array oracles."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +21,9 @@ from eigm.graphs import (
     largest_connected_component,
 )
 from eigm.oddsproduct import FitConvergenceError, fit_odds_product
-from eigm.probmatrix import ProbMatrix, expected_kcycles_exact
+from eigm.probmatrix import ProbMatrix, expected_kcycles_exact, sample, save_probmatrix
 from eigm.stats import char_path_length, compare, global_clustering, triangle_counts
-from eigm.synth import clustered_graph, random_connected_graph
+from eigm.synth import clustered_graph, random_connected_graph, random_probmatrix
 
 
 @st.composite
@@ -287,3 +290,40 @@ def test_kcycles_exact_matches_ordered_tuple_oracle(case):
         assert fast == 0.0
     else:
         assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def sampler_cases(draw):
+    """(P, seed): n in 1..40; entries below ``lo`` become exact zeros and
+    entries above ``hi`` exact ones, so P ranges from all-zero through mixed
+    to binary; the sampling seed is any 64-bit integer."""
+    n = draw(st.integers(1, 40))
+    lo = draw(st.floats(0.0, 1.0))
+    hi = draw(st.floats(lo, 1.0))
+    m = np.array(oracles.random_probmatrix(n, draw(st.integers(0, 2**32 - 1))).mat)
+    m[m < lo] = 0.0
+    m[m > hi] = 1.0
+    return ProbMatrix.from_array(m), draw(st.integers(0, 2**64 - 1))
+
+
+@given(sampler_cases())
+@settings(max_examples=200, deadline=None)
+def test_sample_matches_index_array_oracle(case):
+    p, seed = case
+    assert sample(p, seed) == oracles.sample(p, seed)
+
+
+@given(sampler_cases())
+@settings(max_examples=100, deadline=None)
+def test_save_probmatrix_matches_text_oracle(case):
+    p, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.pmat"
+        save_probmatrix(p, path)
+        assert path.read_text(encoding="utf-8") == oracles.probmatrix_text(p)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1])
+def test_random_probmatrix_matches_index_array_oracle(scale):
+    for n in range(1, 41):
+        assert random_probmatrix(n, 7 * n, scale) == oracles.random_probmatrix(n, 7 * n, scale)

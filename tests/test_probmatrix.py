@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigm.graphs import Graph
 from eigm.probmatrix import (
@@ -24,7 +25,7 @@ from eigm.probmatrix import (
 )
 from eigm.bounds import er_construction
 
-from conftest import complete_graph, prob_matrices
+from conftest import complete_graph, pair_overlap_mean, prob_matrices
 
 
 def brute_force_expected_triangles(p: ProbMatrix) -> float:
@@ -72,7 +73,7 @@ def test_overlap_zero_volume_error():
     with pytest.raises(ZeroVolumeError):
         overlap(p)
     with pytest.raises(ZeroVolumeError):
-        empirical_overlap(p, seed=0, trials=2)
+        empirical_overlap(p, [sample(p, 0), sample(p, 1)])
 
 
 def test_constructor_validation():
@@ -140,18 +141,34 @@ def test_sample_edge_count_moments():
 
 
 def test_empirical_overlap_binary(triangle):
-    assert empirical_overlap(to_dense(triangle), seed=3, trials=4) == 1.0
+    assert pair_overlap_mean(to_dense(triangle), seed=3, trials=4) == 1.0
 
 
 def test_empirical_overlap_er():
     er = er_construction(200, 0.5)
     trials = 20
-    est = empirical_overlap(er, seed=11, trials=trials)
+    est = pair_overlap_mean(er, seed=11, trials=trials)
     npairs = 200 * 199 // 2
     vol = 0.5 * npairs
     # per-trial variance of |E1 ∩ E2| / vol: binomial(npairs, 0.25) / vol^2
     se = math.sqrt(npairs * 0.25 * 0.75 / vol**2 / trials)
     assert abs(est - 0.5) <= 3 * se
+
+
+def test_empirical_overlap_nan_below_two_samples(triangle):
+    p = to_dense(triangle)
+    assert math.isnan(empirical_overlap(p, [sample(p, 0)]))
+
+
+@given(prob_matrices(max_n=12), st.integers(3, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_empirical_overlap_is_mean_shared_fraction_over_pairs(p, k, seed):
+    drawn = [sample(p, seed + t) for t in range(k)]
+    vol = volume(p)
+    edge_sets = [set(map(tuple, g.edge_array().tolist())) for g in drawn]
+    pairs = list(itertools.combinations(edge_sets, 2))
+    expect = sum(len(a & b) / vol for a, b in pairs) / len(pairs)
+    assert empirical_overlap(p, drawn) == expect
 
 
 def test_expected_triangles_examples(triangle):

@@ -33,6 +33,19 @@ def test_bounded_degree_graph_dmax_one():
         random_bounded_degree_graph(5, 1, seed=0)
 
 
+def test_random_probmatrix_peak_memory():
+    # the result, one copy inside from_array and n x n boolean masks
+    n = 1000
+    random_probmatrix(4, seed=0)
+    tracemalloc.start()
+    try:
+        random_probmatrix(n, seed=1, scale=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
+
+
 @pytest.mark.parametrize(
     "build",
     [
