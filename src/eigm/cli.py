@@ -47,6 +47,14 @@ def _load_preprocessed(path):
     return lcc, tuple(ids[i] for i in kept)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_or_print(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -250,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample graphs from a stored probability matrix")
     p.add_argument("--input", required=True, help="probability matrix in triplet format")
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_verify)
@@ -291,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--scale", type=float, default=1e4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_cell_verify)
 

@@ -181,6 +181,8 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
 
 def build_model(a: Graph, spec: ModelSpec) -> ProbMatrix:
     """Dispatch a :class:`ModelSpec` against an input graph."""
+    if spec.kind in ("hdop", "tsvd") and not float(spec.knob).is_integer():
+        raise ValueError(f"{KNOB_KEYS[spec.kind]} must be an integer, got {spec.knob}")
     if spec.kind == "linear":
         return linear_model(a, spec.knob)
     if spec.kind == "ccop":

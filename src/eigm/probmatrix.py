@@ -229,19 +229,16 @@ def load_probmatrix(path) -> ProbMatrix:
         if n <= 0:
             raise ValueError("n must be positive")
         _check_dense_cap(n)
-        a = np.zeros((n, n), dtype=np.float64)
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise ValueError(f"line {line_no}: expected 'i j p'")
-            i, j, v = int(tokens[0]), int(tokens[1]), float(tokens[2])
-            if not 0 <= i < j < n:
-                raise ValueError(f"line {line_no}: require 0 <= i < j < n")
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"line {line_no}: probability {v} outside [0, 1]")
-            a[i, j] = v
-            a[j, i] = v
+        with warnings.catch_warnings():  # a header-only file is the zero matrix
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            triplet = [("i", np.int64), ("j", np.int64), ("p", np.float64)]
+            rows = np.loadtxt(fh, dtype=triplet, ndmin=1, comments=None)
+    i, j, v = rows["i"], rows["j"], rows["p"]
+    bad = ~((0 <= i) & (i < j) & (j < n) & (0.0 <= v) & (v <= 1.0))  # NaN is bad
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"entry ({i[k]} {j[k]} {v[k]}) breaks 0 <= i < j < n, 0 <= p <= 1")
+    a = np.zeros((n, n), dtype=np.float64)
+    a[i, j] = v  # fancy assignment writes in order: a repeated pair's last line wins
+    a[j, i] = v
     return ProbMatrix.from_array(a)

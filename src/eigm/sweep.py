@@ -69,7 +69,10 @@ class SweepRow:
         values = [self.knob, self.overlap_expected, self.overlap_empirical]
         for c in STAT_COLUMNS:
             values += [self.means.get(c, nan), self.stds.get(c, nan)]
-        return ",".join([self.model, *(repr(float(v)) for v in values), self.status])
+        status = self.status
+        if any(c in status for c in ',"\r\n'):  # RFC 4180: quote, double the quotes
+            status = '"' + status.replace('"', '""') + '"'
+        return ",".join([self.model, *(repr(float(v)) for v in values), status])
 
 
 def sweep_csv_header() -> str:

@@ -1,14 +1,15 @@
 """Slow, loop-based reference implementations of the graph and statistics
-kernels, the node-level odds-product fit and the exact k-cycle count, and
-index-array statements of the sampler, the text format and the random
-probability matrix.
+kernels, the node-level odds-product fit, the exact k-cycle count and the
+text-format reader, and index-array statements of the sampler, the text
+writer and the random probability matrix.
 
 ``eigm`` computes these quantities with ``scipy.sparse``/``csgraph``
 primitives, fits the odds-product model on degree classes, lists each
-k-cycle once and walks the upper triangle through boolean masks.  The
-functions here state the definitions directly, one node, edge, tuple or
-explicit (i, j) pair at a time, and serve as oracles for the property
-tests in ``test_oracles.py``.
+k-cycle once, parses the text format with ``np.loadtxt`` and walks the
+upper triangle through boolean masks.  The functions here state the
+definitions directly, one node, edge, tuple, line or explicit (i, j) pair
+at a time, and serve as oracles for the property tests in
+``test_oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from eigm.oddsproduct import (
     _prob_from_logits,
     _solve_step,
 )
-from eigm.probmatrix import ProbMatrix
+from eigm.probmatrix import ProbMatrix, _check_dense_cap
 from eigm.rng import make_rng
 
 
@@ -284,6 +285,36 @@ def probmatrix_text(p: ProbMatrix) -> str:
         if v > 0.0:
             lines.append(f"{i} {j} {v:.17g}\n")
     return "".join(lines)
+
+
+def load_probmatrix(path) -> ProbMatrix:
+    """Read the text-triplet format one line at a time: skip blank lines,
+    split each other line into "i j p", check it, and write both triangles;
+    a repeated pair takes its last line's value."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if not header.startswith("n="):
+            raise ValueError("missing 'n=<n>' header")
+        n = int(header[2:])
+        if n <= 0:
+            raise ValueError("n must be positive")
+        _check_dense_cap(n)
+        a = np.zeros((n, n), dtype=np.float64)
+        for line_no, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if len(tokens) != 3:
+                raise ValueError(f"line {line_no}: expected 'i j p'")
+            i, j, v = int(tokens[0]), int(tokens[1]), float(tokens[2])
+            if not 0 <= i < j < n:
+                raise ValueError(f"line {line_no}: require 0 <= i < j < n")
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"line {line_no}: probability {v} outside [0, 1]")
+            a[i, j] = v
+            a[j, i] = v
+    return ProbMatrix.from_array(a)
 
 
 def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:

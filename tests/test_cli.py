@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from eigm.cli import main
+from eigm.cli import build_parser, main
 from eigm.graphs import parse_edge_list
 from eigm.probmatrix import load_probmatrix
 
@@ -77,6 +79,37 @@ def test_sample_oversized_header_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds dense-matrix cap" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("body", ["0 1\n", "0 x 0.5\n", "2 1 0.5\n", "0 1 nan\n"])
+def test_sample_malformed_pmat_is_one_line_error(tmp_path, capsys, body):
+    pmat = tmp_path / "bad.pmat"
+    pmat.write_text("n=3\n" + body, encoding="utf-8")
+    rc = main(["sample", "--input", str(pmat), "--output-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "tri", "--trials", "0"],
+    ["cell-verify", "--trials", "-1"],
+    ["sample", "--input", "p.pmat", "--samples", "-2"],
+])
+def test_count_below_one_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if ": error: " in line] == [err[-1]]
+    assert err[-1].endswith(f"must be at least 1, got {argv[-1]}")
+
+
+def test_count_defaults():
+    parser = build_parser()
+    assert parser.parse_args(["verify", "--theorem", "tri"]).trials == 100
+    assert parser.parse_args(["cell-verify"]).trials == 5
+    assert parser.parse_args(["sample", "--input", "p.pmat"]).samples == 1
 
 
 def test_stats_row(tmp_path, capsys):
@@ -239,6 +272,21 @@ def test_sweep_failure_at_any_stage_is_a_marked_row(tmp_path, capsys):
     assert len(rows) == 10
     assert all(",error: " in row for row in rows)
     assert sum(row.endswith("error: overlap undefined: volume is zero") for row in rows) == 5
+
+
+def test_sweep_error_rows_keep_the_header_width(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 2\n2 0\n0 3\n3 4\n", encoding="utf-8")
+    rc = main([
+        "sweep", "--model", "linear", "--omega", "0.5,1.5", "--input", str(edges),
+        "--samples", "2", "--output-dir", str(tmp_path / "o"),
+    ])
+    assert rc == 0
+    with open(tmp_path / "o" / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [21, 21, 21]
+    assert rows[1][-1] == "ok"
+    assert rows[2][-1] == "error: omega must be in [0, 1], got 1.5"
 
 
 def test_sweep_cli_overrides(tmp_path, capsys):

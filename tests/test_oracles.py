@@ -1,10 +1,12 @@
 """Property tests: the sparse/vectorized kernels equal the loop oracles, the
 degree-class odds-product fit equals the node-level Newton fit, the
 once-per-cycle k-cycle count equals the ordered-tuple sum, and the masked
-sampler, text writer and random matrix equal their index-array oracles."""
+sampler, text writer and random matrix equal their index-array oracles, and
+the ``np.loadtxt`` text reader equals the line-by-line reader."""
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,13 @@ from eigm.graphs import (
     largest_connected_component,
 )
 from eigm.oddsproduct import FitConvergenceError, fit_odds_product
-from eigm.probmatrix import ProbMatrix, expected_kcycles_exact, sample, save_probmatrix
+from eigm.probmatrix import (
+    ProbMatrix,
+    expected_kcycles_exact,
+    load_probmatrix,
+    sample,
+    save_probmatrix,
+)
 from eigm.stats import char_path_length, compare, global_clustering, triangle_counts
 from eigm.synth import clustered_graph, random_connected_graph, random_probmatrix
 
@@ -321,6 +329,76 @@ def test_save_probmatrix_matches_text_oracle(case):
         path = Path(tmp) / "p.pmat"
         save_probmatrix(p, path)
         assert path.read_text(encoding="utf-8") == oracles.probmatrix_text(p)
+
+
+@st.composite
+def text_format_cases(draw):
+    """P with n in 1..30 whose pairs are, in proportions hypothesis picks,
+    exact zeros, exact ones, values below 1e-300 (subnormals included) and
+    uniform draws."""
+    n = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2**32 - 2))
+    zero, one, tiny = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))
+    u = oracles.random_probmatrix(n, seed).mat
+    kind = oracles.random_probmatrix(n, seed + 1).mat
+    m = np.where(kind < tiny, u * 10.0 ** -(300 + 23 * kind), u)
+    m = np.where(kind < one, 1.0, m)
+    m = np.where(kind < zero, 0.0, m)
+    np.fill_diagonal(m, 0.0)
+    return ProbMatrix.from_array(m)
+
+
+@given(text_format_cases())
+@settings(max_examples=100, deadline=None)
+def test_load_probmatrix_matches_line_oracle(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.pmat"
+        save_probmatrix(p, path)
+        loaded = load_probmatrix(path).mat
+        assert np.array_equal(loaded, oracles.load_probmatrix(path).mat)
+        assert np.array_equal(loaded, p.mat)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("0 1 0.5\n", id="no-header"),
+    pytest.param("n=0\n", id="n-zero"),
+    pytest.param("n=3\n0 1\n", id="two-columns"),
+    pytest.param("n=3\n0 1 0.5 0.5\n", id="four-columns"),
+    pytest.param("n=3\n# i j p\n0 1 0.5\n", id="comment-line"),
+    pytest.param("n=3\n0.5 1 0.5\n", id="non-integer-index"),
+    pytest.param("n=3\n1 1 0.5\n", id="i-equals-j"),
+    pytest.param("n=3\n0 1 0.5\n2 1 0.5\n", id="i-above-j"),
+    pytest.param("n=3\n0 3 0.5\n", id="j-equals-n"),
+    pytest.param("n=3\n-1 2 0.5\n", id="negative-index"),
+    pytest.param("n=3\n0 1 1.5\n", id="p-above-one"),
+    pytest.param("n=3\n0 1 -0.1\n", id="p-negative"),
+    pytest.param("n=3\n0 1 nan\n", id="p-nan"),
+    pytest.param("n=3\n0 1 inf\n", id="p-inf"),
+])
+def test_malformed_text_fails_in_both_readers(tmp_path, text):
+    path = tmp_path / "bad.pmat"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_probmatrix(path)
+    with pytest.raises(ValueError):
+        oracles.load_probmatrix(path)
+
+
+def test_blank_lines_tabs_crlf_and_repeats_load_like_the_oracle(tmp_path):
+    path = tmp_path / "p.pmat"
+    path.write_bytes(b"n=4\r\n0 1 0.25\r\n\r\n \t\n1\t3\t1\r\n 2  3 1e-310 \r\n0 1 0.5\r\n")
+    loaded = load_probmatrix(path).mat
+    assert np.array_equal(loaded, oracles.load_probmatrix(path).mat)
+    assert (loaded[0, 1], loaded[1, 3], loaded[2, 3]) == (0.5, 1.0, 1e-310)
+
+
+def test_header_only_file_is_the_zero_matrix_without_warnings(tmp_path):
+    path = tmp_path / "zero.pmat"
+    save_probmatrix(ProbMatrix.from_array(np.zeros((3, 3))), path)
+    assert path.read_text(encoding="utf-8") == "n=3\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(load_probmatrix(path).mat, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.1])

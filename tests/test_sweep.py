@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from eigm.stats import STAT_COLUMNS, compare, global_clustering
 from eigm.svgplot import render_sweep_svg
 from eigm.sweep import (
     ExperimentConfig,
+    SweepRow,
     evaluate_point,
     parse_config,
     reference_record,
@@ -109,6 +112,12 @@ def test_sweep_failure_row_marked(reference):
     assert math.isnan(row.means["triangle_count"])
 
 
+@pytest.mark.parametrize("kind, knob, key", [("hdop", 1.7, "h"), ("tsvd", 2.5, "rank")])
+def test_fractional_integer_knob_is_an_error_row(reference, kind, knob, key):
+    row = evaluate_point(reference, ModelSpec(kind, knob), samples=2, seed=0)
+    assert row.status == f"error: {key} must be an integer, got {knob}"
+
+
 def test_csv_header_and_row_shape(reference):
     header = sweep_csv_header()
     cols = header.split(",")
@@ -116,6 +125,15 @@ def test_csv_header_and_row_shape(reference):
     assert len(cols) == 4 + 2 * len(STAT_COLUMNS) + 1
     row = evaluate_point(reference, ModelSpec("linear", 0.5), samples=2, seed=0)
     assert len(row.csv_row().split(",")) == len(cols)
+
+
+def test_csv_row_quotes_a_status_with_commas_or_quotes():
+    nan = float("nan")
+    status = 'error: bad "x", then\nmore'
+    row = SweepRow("linear", 0.5, nan, nan, {}, {}, status)
+    fields = next(csv.reader(io.StringIO(row.csv_row() + "\n")))
+    assert len(fields) == len(sweep_csv_header().split(",")) and fields[-1] == status
+    assert SweepRow("linear", 0.5, nan, nan, {}, {}).csv_row().endswith(",ok")
 
 
 def test_single_sample_std_is_nan(reference):
