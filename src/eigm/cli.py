@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .bounds import check_cc_tightness, check_kcycle_bound, check_triangle_bound
 from .cell import vandermonde_embedding, verify_embedding
@@ -27,6 +26,7 @@ from .rng import derive_seed
 from .stats import STAT_COLUMNS, compare, triangle_counts
 from .svgplot import render_sweep_svg
 from .sweep import (
+    GLOBAL_KEYS,
     ExperimentConfig,
     _parse_grid,
     parse_config,
@@ -136,42 +136,22 @@ def _specs_from_flags(args) -> tuple[ModelSpec, ...]:
 
 def cmd_sweep(args) -> int:
     if args.model:
-        config = ExperimentConfig(input_path="", specs=_specs_from_flags(args))
+        config = ExperimentConfig(_specs_from_flags(args))
     elif args.config:
         config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     else:
         # default grid: the two convex-combination models over a coarse omega grid
         omegas = (0.0, 0.25, 0.5, 0.75, 1.0)
         config = ExperimentConfig(
-            input_path="",
-            specs=tuple(
-                ModelSpec(kind, w) for kind in ("linear", "ccop") for w in omegas
-            ),
+            tuple(ModelSpec(kind, w) for kind in ("linear", "ccop") for w in omegas)
         )
-    updates = {}
-    if args.input:
-        updates["input_path"] = args.input
-    if args.samples is not None:
-        updates["samples"] = args.samples
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.output_dir is not None:
-        updates["output_dir"] = args.output_dir
-    if args.plot:
-        updates["plot"] = True
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if updates:
-        from dataclasses import replace
-
-        config = replace(config, **updates)
-    if not config.input_path:
+    flags = {key: getattr(args, key) for key in GLOBAL_KEYS}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
+    if not config.input:
         raise ValueError("no input edge list given (flag --input or config key)")
 
-    reference, _ = _load_preprocessed(config.input_path)
-    rows = run_sweep(
-        reference, config.specs, config.samples, config.seed, config.workers
-    )
+    reference, _ = _load_preprocessed(config.input)
+    rows = run_sweep(reference, config.specs, config.samples, config.seed)
     ok = [r for r in rows if r.status == "ok"]
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,8 +211,15 @@ def cmd_cell_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eigm",
         description=(
             "Edge-independent graph models: preprocessing, degree fits, "
@@ -271,11 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the overlap sweep over model grids")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--input", default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--plot", action="store_true", help="also emit sweep.svg")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--plot", action="store_true", default=None, help="also emit sweep.svg")
     p.add_argument("--model", choices=MODEL_KINDS,
                    default=None, help="single-model mode instead of a config file")
     p.add_argument("--omega", default=None,
@@ -310,7 +296,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a bare MemoryError() carries no message

@@ -40,12 +40,10 @@ MODEL_KINDS = tuple(KNOB_KEYS)
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One generator plus its knob value and fit parameters."""
+    """One generator plus its knob value."""
 
     kind: str
     knob: float
-    eps: float = 1e-6
-    max_iter: int = 100
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -71,17 +69,17 @@ def linear_model(a: Graph, omega: float) -> ProbMatrix:
     return ProbMatrix.from_array(p)
 
 
-def ccop(a: Graph, omega: float, eps: float = 1e-6, max_iter: int = 100) -> ProbMatrix:
+def ccop(a: Graph, omega: float) -> ProbMatrix:
     """Degree-matching odds-product fit blended with the adjacency.
 
     Expected degrees equal the input degrees for every omega, since both
     endpoints of the combination have them.
     """
-    _, p, _ = fit_odds_product(degrees(a), eps=eps, max_iter=max_iter)
+    _, p, _ = fit_odds_product(degrees(a))
     return convex_combine(p, to_dense(a), omega)
 
 
-def hdop(a: Graph, h: int, eps: float = 1e-6, max_iter: int = 100) -> ProbMatrix:
+def hdop(a: Graph, h: int) -> ProbMatrix:
     """Pin every pair incident to the h highest-degree nodes, refit the rest.
 
     Ties in degree break toward the lower node id.  Pairs with either
@@ -104,18 +102,19 @@ def hdop(a: Graph, h: int, eps: float = 1e-6, max_iter: int = 100) -> ProbMatrix
     if free.size > 0:
         sub = adj[np.ix_(free, free)]
         residual_deg = sub.sum(axis=1).astype(np.int64)
-        _, p_sub, _ = fit_odds_product(residual_deg, eps=eps, max_iter=max_iter)
+        _, p_sub, _ = fit_odds_product(residual_deg)
         out[np.ix_(free, free)] = p_sub.mat
     return ProbMatrix.from_array(out)
 
 
-def fit_volume_shift(l: np.ndarray, target_volume: float, tol_rel: float = 1e-9) -> float:
+def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
     """Scalar shift s with sum of clip(L + s, 0, 1) over pairs = target.
 
-    f(s) is continuous, nondecreasing, and piecewise linear with kinks at
-    the clip boundaries, so a safeguarded Newton (slope = count of
-    unclipped entries, bisection fallback) cannot cycle.  ``target`` may
-    equal the maximum n(n-1)/2, attained as a boundary root.
+    The root is found to within 1e-9 * target.  f(s) is continuous,
+    nondecreasing, and piecewise linear with kinks at the clip boundaries,
+    so a safeguarded Newton (slope = count of unclipped entries, bisection
+    fallback) cannot cycle.  ``target`` may equal the maximum n(n-1)/2,
+    attained as a boundary root.
     """
     l = np.asarray(l, dtype=np.float64)
     n = l.shape[0]
@@ -130,10 +129,8 @@ def fit_volume_shift(l: np.ndarray, target_volume: float, tol_rel: float = 1e-9)
     def f(s: float) -> float:
         return float(np.clip(vals + s, 0.0, 1.0).sum())
 
-    tol = tol_rel * target_volume
+    tol = 1e-9 * target_volume
     s = 0.0
-    if abs(f(s) - target_volume) <= tol:
-        return s
     lo = float(-vals.max())          # f(lo) == 0
     hi = float(1.0 - vals.min())     # f(hi) == npairs
     for _ in range(200):
@@ -146,13 +143,10 @@ def fit_volume_shift(l: np.ndarray, target_volume: float, tol_rel: float = 1e-9)
             lo = max(lo, s)
         shifted = vals + s
         slope = float(np.count_nonzero((shifted > 0.0) & (shifted < 1.0)))
-        if slope > 0:
-            s_new = s - err / slope
+        if slope > 0 and lo < s - err / slope < hi:
+            s = s - err / slope
         else:
-            s_new = 0.5 * (lo + hi)
-        if not lo < s_new < hi:
-            s_new = 0.5 * (lo + hi)
-        s = s_new
+            s = 0.5 * (lo + hi)
     raise RuntimeError("volume shift search did not converge in 200 iterations")
 
 
@@ -173,7 +167,7 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     low = (u[:, :k] * s[:k]) @ vt[:k]
     low = 0.5 * (low + low.T)
     np.fill_diagonal(low, 0.0)
-    shift = fit_volume_shift(low, float(a.m), tol_rel=1e-7)
+    shift = fit_volume_shift(low, float(a.m))
     p = np.clip(low + shift, 0.0, 1.0)
     np.fill_diagonal(p, 0.0)
     return ProbMatrix.from_array(p)
@@ -186,7 +180,7 @@ def build_model(a: Graph, spec: ModelSpec) -> ProbMatrix:
     if spec.kind == "linear":
         return linear_model(a, spec.knob)
     if spec.kind == "ccop":
-        return ccop(a, spec.knob, eps=spec.eps, max_iter=spec.max_iter)
+        return ccop(a, spec.knob)
     if spec.kind == "hdop":
-        return hdop(a, int(spec.knob), eps=spec.eps, max_iter=spec.max_iter)
+        return hdop(a, int(spec.knob))
     return tsvd_model(a, int(spec.knob))

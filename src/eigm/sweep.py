@@ -5,13 +5,15 @@ preprocessed reference graph, record its closed-form overlap, draw a fixed
 number of samples, score each sample against the reference, and aggregate
 mean/std per statistic.  Rows are deterministic functions of (config,
 seed): per-sample seeds are derived by hashing (model, knob, index), so
-grid points are independent and may be evaluated concurrently.
+grid points are independent and run concurrently on a thread pool sized
+from the CPUs the process may use, without changing any row.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -37,13 +39,12 @@ __all__ = [
 class ExperimentConfig:
     """Parsed sweep configuration; CLI flags override file values."""
 
-    input_path: str
     specs: tuple[ModelSpec, ...]
+    input: str = ""
     samples: int = 5
     seed: int = 0
     output_dir: str = "."
     plot: bool = False
-    workers: int | None = None
 
     def __post_init__(self):
         if self.samples < 1:
@@ -91,40 +92,57 @@ def _parse_grid(raw: str, kind: str) -> list[float]:
     return vals
 
 
+# The global config keys, each also an ExperimentConfig field and a sweep
+# flag, with the name of the configparser getter that reads it.
+GLOBAL_KEYS = {
+    "input": "get",
+    "samples": "getint",
+    "seed": "getint",
+    "output_dir": "get",
+    "plot": "getboolean",
+}
+
+
+def _reject_unknown_keys(section, known, where: str) -> None:
+    for key in section:
+        if key not in known:
+            raise ValueError(f"unknown key '{key}' {where}")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the key = value sweep config.
 
-    Global keys (input, samples, seed, output_dir, plot, workers) live
-    before the first section; each model gets a section whose knob key is
+    Global keys (input, samples, seed, output_dir, plot) live before the
+    first section; each model gets a section whose one key is its knob,
     ``omega`` (linear, ccop), ``h`` (hdop), or ``rank`` (tsvd), holding a
-    comma- or space-separated grid.  Sections may also set eps/max_iter.
+    comma- or space-separated grid.  Any other key, a repeated section or
+    key, and a line that is neither a section header nor ``key = value``
+    raise ValueError.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read_string("[__global__]\n" + text)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        cp.read_string("[__global__]\n" + text, source="config")
+    except configparser.Error as exc:
+        # one line, with line numbers counted in ``text``, not the header added above
+        msg = re.sub(r"\[line\s+(\d+)\]", lambda m: f"[line {int(m[1]) - 1}]", str(exc))
+        raise ValueError(" ".join(msg.split())) from None
+    if cp.defaults():  # configparser would copy these keys into every section
+        raise ValueError("unknown model section [DEFAULT]")
     g = cp["__global__"]
+    _reject_unknown_keys(g, GLOBAL_KEYS, "in the global section")
+    values = {key: getattr(g, GLOBAL_KEYS[key])(key) for key in g}
     specs: list[ModelSpec] = []
-    for kind in cp.sections():
-        if kind == "__global__":
-            continue
+    for kind in cp.sections()[1:]:  # [__global__] is the first section
         if kind not in KNOB_KEYS:
             raise ValueError(f"unknown model section [{kind}]")
         section = cp[kind]
         knob_key = KNOB_KEYS[kind]
         if knob_key not in section:
             raise ValueError(f"section [{kind}] missing knob key '{knob_key}'")
-        eps = float(section.get("eps", "1e-6"))
-        max_iter = int(section.get("max_iter", "100"))
+        _reject_unknown_keys(section, (knob_key,), f"in section [{kind}]")
         for knob in _parse_grid(section[knob_key], kind):
-            specs.append(ModelSpec(kind=kind, knob=knob, eps=eps, max_iter=max_iter))
-    return ExperimentConfig(
-        input_path=g.get("input", ""),
-        specs=tuple(specs),
-        samples=int(g.get("samples", "5")),
-        seed=int(g.get("seed", "0")),
-        output_dir=g.get("output_dir", "."),
-        plot=g.getboolean("plot", fallback=False),
-        workers=int(g["workers"]) if "workers" in g else None,
-    )
+            specs.append(ModelSpec(kind=kind, knob=knob))
+    return ExperimentConfig(tuple(specs), **values)
 
 
 def _nan_row(spec: ModelSpec, status: str) -> SweepRow:
@@ -171,17 +189,18 @@ def evaluate_point(
     )
 
 
-def run_sweep(
-    reference: Graph,
-    specs,
-    samples: int,
-    seed: int,
-    workers: int | None = None,
-) -> list[SweepRow]:
-    """Evaluate all grid points (concurrently) and return rows sorted by (model, knob)."""
-    if workers is None:
-        workers = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+def run_sweep(reference: Graph, specs, samples: int, seed: int) -> list[SweepRow]:
+    """Evaluate all grid points and return rows sorted by (model, knob).
+
+    The points run on a thread pool with one thread per CPU this process
+    may run on (its affinity mask, where the OS has one); the rows do not
+    depend on the pool size.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        threads = len(os.sched_getaffinity(0))
+    else:
+        threads = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(
             pool.map(lambda s: evaluate_point(reference, s, samples, seed), specs)
         )

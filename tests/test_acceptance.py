@@ -372,7 +372,7 @@ def test_c12_dataset_counts_and_sweep_trend():
             + [ModelSpec("hdop", h) for h in (0, n // 8, n // 2, n)]
             + [ModelSpec("tsvd", k) for k in (8, 32, 128, 512)]
         )
-        rows = run_sweep(reference, specs, samples=5, seed=1, workers=None)
+        rows = run_sweep(reference, specs, samples=5, seed=1)
         for kind in ("linear", "ccop", "hdop", "tsvd"):
             pts = [r for r in rows if r.model == kind and r.status == "ok"]
             rho = spearmanr(

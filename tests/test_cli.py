@@ -95,14 +95,29 @@ def test_sample_malformed_pmat_is_one_line_error(tmp_path, capsys, body):
     ["verify", "--theorem", "tri", "--trials", "0"],
     ["cell-verify", "--trials", "-1"],
     ["sample", "--input", "p.pmat", "--samples", "-2"],
+    ["sweep", "--samples", "0"],
 ])
 def test_count_below_one_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if ": error: " in line] == [err[-1]]
-    assert err[-1].endswith(f"must be at least 1, got {argv[-1]}")
+    assert len(err) == 1 and err[0].startswith(f"eigm {argv[0]}: error: ")
+    assert err[0].endswith(f"must be at least 1, got {argv[-1]}")
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["fit"], "eigm fit"),
+    (["verify", "--theorem", "quad"], "eigm verify"),
+    (["sweep", "--workers", "2"], "eigm"),
+    (["nope"], "eigm"),
+])
+def test_usage_error_is_one_stderr_line(argv, prog, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{prog}: error: ")
 
 
 def test_count_defaults():
@@ -110,6 +125,7 @@ def test_count_defaults():
     assert parser.parse_args(["verify", "--theorem", "tri"]).trials == 100
     assert parser.parse_args(["cell-verify"]).trials == 5
     assert parser.parse_args(["sample", "--input", "p.pmat"]).samples == 1
+    assert parser.parse_args(["sweep"]).samples is None
 
 
 def test_stats_row(tmp_path, capsys):
@@ -287,6 +303,21 @@ def test_sweep_error_rows_keep_the_header_width(tmp_path, capsys):
     assert [len(row) for row in rows] == [21, 21, 21]
     assert rows[1][-1] == "ok"
     assert rows[2][-1] == "error: omega must be in [0, 1], got 1.5"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[linear]\nomega = 1\n[linear]\nomega = 2\n", "[line 3]: section 'linear' already exists"),
+    ("[linear]\nomega = 1\nomega = 2\n", "[line 3]: option 'omega' in section 'linear' already exists"),
+    ("seed = 1\nno equals sign\n[linear]\nomega = 1\n", "[line 2]: 'no equals sign\\n'"),
+    ("sampels = 3\n[linear]\nomega = 1\n", "unknown key 'sampels' in the global section"),
+    ("samples = 0\n[linear]\nomega = 1\n", "samples must be >= 1"),
+])
+def test_sweep_bad_config_is_one_line_error(tmp_path, capsys, text, message):
+    config = tmp_path / "s.cfg"
+    config.write_text(text, encoding="utf-8")
+    assert main(["sweep", "--config", str(config), "--input", "g.edges"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
 
 
 def test_sweep_cli_overrides(tmp_path, capsys):

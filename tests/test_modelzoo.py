@@ -104,6 +104,16 @@ def test_hdop_overlap_grows(test_graphs):
         assert overlap(hdop(g, g.n)) >= overlap(hdop(g, 0)) - 1e-12
 
 
+def test_models_take_no_fit_tolerances():
+    import dataclasses
+    import inspect
+
+    assert [f.name for f in dataclasses.fields(ModelSpec)] == ["kind", "knob"]
+    for fn, params in ((ccop, ["a", "omega"]), (hdop, ["a", "h"]),
+                       (fit_volume_shift, ["l", "target_volume"])):
+        assert list(inspect.signature(fn).parameters) == params
+
+
 def test_fit_volume_shift_cases():
     n = 5
     l0 = np.zeros((n, n))

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -33,21 +36,23 @@ omega = 0, 0.5, 1.0
 
 [tsvd]
 rank = 1, 2
-eps = 1e-7
 """
 
 
 def test_parse_config_round_trip():
     config = parse_config(CONFIG_TEXT)
-    assert config.input_path == "graph.edges"
+    assert config.input == "graph.edges"
     assert config.samples == 4
     assert config.seed == 11
     assert config.plot is True
     kinds = [(s.kind, s.knob) for s in config.specs]
     assert ("linear", 0.0) in kinds and ("tsvd", 2.0) in kinds
     assert len(config.specs) == 5
-    tsvd = [s for s in config.specs if s.kind == "tsvd"][0]
-    assert tsvd.eps == 1e-7
+
+
+def test_parse_config_takes_percent_signs_literally():
+    config = parse_config("input = data/50%.edges\n[linear]\nomega = 1\n")
+    assert config.input == "data/50%.edges"
 
 
 def test_parse_config_rejects_unknown_section():
@@ -55,14 +60,27 @@ def test_parse_config_rejects_unknown_section():
         parse_config("[nope]\nomega = 1\n")
     with pytest.raises(ValueError):
         parse_config("[linear]\nrank = 1\n")
+    with pytest.raises(ValueError, match=r"^unknown model section \[DEFAULT\]$"):
+        parse_config("[DEFAULT]\nomega = 1\n[linear]\n")
+
+
+@pytest.mark.parametrize("text, key, where", [
+    ("sampels = 3\n[linear]\nomega = 1\n", "sampels", "the global section"),
+    ("workers = 2\n[linear]\nomega = 1\n", "workers", "the global section"),
+    ("[tsvd]\nrank = 1\nepss = 1e-9\n", "epss", "section [tsvd]"),
+    ("[ccop]\nomega = 1\neps = 1e-6\n", "eps", "section [ccop]"),
+])
+def test_parse_config_rejects_unknown_keys(text, key, where):
+    with pytest.raises(ValueError, match=rf"^unknown key '{key}' in {re.escape(where)}$"):
+        parse_config(text)
 
 
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(input_path="x", specs=(), samples=5)
+        ExperimentConfig(specs=(), input="x", samples=5)
     with pytest.raises(ValueError):
         ExperimentConfig(
-            input_path="x", specs=(ModelSpec("linear", 0.5),), samples=0
+            specs=(ModelSpec("linear", 0.5),), input="x", samples=0
         )
 
 
@@ -71,12 +89,32 @@ def reference():
     return random_connected_graph(30, 0.1, seed=21)
 
 
-def test_run_sweep_rows_sorted_and_deterministic(reference):
+def test_run_sweep_rows_sorted_and_deterministic(reference, monkeypatch):
+    import eigm.sweep
+
+    threads, pool_sizes = set(), []
+    point = eigm.sweep.evaluate_point
+
+    def recording_point(*args):
+        threads.add(threading.get_ident())
+        return point(*args)
+
+    class RecordingPool(eigm.sweep.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(eigm.sweep, "evaluate_point", recording_point)
+    monkeypatch.setattr(eigm.sweep, "ThreadPoolExecutor", RecordingPool)
     specs = [ModelSpec("linear", w) for w in (1.0, 0.0, 0.5)]
-    rows1 = run_sweep(reference, specs, samples=3, seed=5, workers=2)
-    rows2 = run_sweep(reference, specs, samples=3, seed=5, workers=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    rows1 = run_sweep(reference, specs, samples=3, seed=5)
+    assert pool_sizes == [1] and len(threads) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    rows4 = run_sweep(reference, specs, samples=3, seed=5)
+    assert pool_sizes == [1, 4]
     assert [r.knob for r in rows1] == [0.0, 0.5, 1.0]
-    assert [r.csv_row() for r in rows1] == [r.csv_row() for r in rows2]
+    assert [r.csv_row() for r in rows1] == [r.csv_row() for r in rows4]
 
 
 def test_sweep_memorization_limit(reference):
