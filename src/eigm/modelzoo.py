@@ -9,8 +9,9 @@ overlap is controlled by a single knob, all preserving the input's volume:
   odds-product fit (knob omega).
 * hdop: odds-product fit with all pairs touching the top-h degree nodes
   pinned to the adjacency (knob h).
-* tsvd: rank-k truncated SVD of the adjacency, shifted and clipped to
-  restore the volume (knob k).
+* tsvd: rank-k truncation of the adjacency (its k eigenpairs of largest
+  |lambda|, which equal its rank-k SVD), shifted and clipped to restore the
+  volume (knob k).
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 
 from .graphs import Graph, degrees
 from .oddsproduct import fit_odds_product
-from .probmatrix import ProbMatrix, convex_combine, to_dense
+from .probmatrix import ProbMatrix, _check_dense_cap, convex_combine, to_dense
 
 __all__ = [
     "ModelSpec",
@@ -118,8 +120,7 @@ def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
     """
     l = np.asarray(l, dtype=np.float64)
     n = l.shape[0]
-    iu = np.triu_indices(n, 1)
-    vals = l[iu]
+    vals = l[np.triu(np.ones((n, n), bool), 1)]
     npairs = vals.size
     if not 0.0 < target_volume <= npairs:
         raise ValueError(
@@ -151,20 +152,27 @@ def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
 
 
 def tsvd_model(a: Graph, k: int) -> ProbMatrix:
-    """Rank-k SVD reconstruction of the adjacency, clipped and volume-matched.
+    """Rank-k truncation of the adjacency, clipped and volume-matched.
 
-    The reconstruction is symmetrized, its diagonal zeroed, then shifted by
-    the :func:`fit_volume_shift` scalar and clipped to [0, 1] so the result
-    has volume m within 1e-6 * m.
+    The truncation keeps the k eigenpairs of largest |lambda| (for a
+    symmetric A, the rank-k SVD; not unique where |lambda_k| =
+    |lambda_(k+1)|), found by ``eigsh`` when 8k <= n and by a dense ``eigh``
+    otherwise.  It is symmetrized, its diagonal zeroed, then shifted by the
+    :func:`fit_volume_shift` scalar and clipped to [0, 1] so the result has
+    volume m within 1e-6 * m.
     """
     n = a.n
     if not 1 <= k <= n:
         raise ValueError(f"rank must be in [1, n], got {k}")
     if a.m == 0:
         raise ValueError("tsvd model undefined for an empty graph")
-    adj = to_dense(a).mat
-    u, s, vt = np.linalg.svd(adj)
-    low = (u[:, :k] * s[:k]) @ vt[:k]
+    if 8 * k <= n:
+        _check_dense_cap(n)
+        lam, v = eigsh(a.to_csr(np.float64), k=k, which="LM", v0=np.ones(n))
+    else:
+        lam, v = np.linalg.eigh(to_dense(a).mat)
+    top = np.argsort(-np.abs(lam), kind="stable")[:k]
+    low = (v[:, top] * lam[top]) @ v[:, top].T
     low = 0.5 * (low + low.T)
     np.fill_diagonal(low, 0.0)
     shift = fit_volume_shift(low, float(a.m))

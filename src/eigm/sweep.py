@@ -161,18 +161,24 @@ def _nan_row(spec: ModelSpec, status: str) -> SweepRow:
 def evaluate_point(
     reference: Graph, spec: ModelSpec, samples: int, seed: int
 ) -> SweepRow:
-    """Build, sample, and score one grid point; failures become marked rows."""
+    """Build, sample, and score one grid point; a failure becomes a row
+    whose status names the stage, ``error[build|overlap|sample|compare]: ...``."""
+    stage = "build"
     try:
         p = build_model(reference, spec)
+        stage = "overlap"
         ov = overlap(p)
+        stage = "sample"
         drawn = [
             sample(p, derive_seed(seed, spec.kind, spec.knob, t))
             for t in range(samples)
         ]
+        stage = "overlap"
         ov_empirical = empirical_overlap(p, drawn)
+        stage = "compare"
         records = [compare(reference, g) for g in drawn]
     except Exception as exc:  # a failure at any stage poisons one row, not the sweep
-        return _nan_row(spec, f"error: {exc}")
+        return _nan_row(spec, f"error[{stage}]: {exc}")
     table = np.array([r.as_tuple() for r in records], dtype=np.float64)
     means = {c: float(table[:, k].mean()) for k, c in enumerate(STAT_COLUMNS)}
     if samples > 1:

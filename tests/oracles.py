@@ -1,12 +1,14 @@
 """Slow, loop-based reference implementations of the graph and statistics
 kernels, the node-level odds-product fit, the exact k-cycle count and the
-text-format reader, and index-array statements of the sampler, the text
-writer and the random probability matrix.
+text-format reader, index-array statements of the sampler, the text
+writer, the random probability matrix and the volume shift, and the
+dense-SVD tsvd model.
 
 ``eigm`` computes these quantities with ``scipy.sparse``/``csgraph``
 primitives, fits the odds-product model on degree classes, lists each
-k-cycle once, parses the text format with ``np.loadtxt`` and walks the
-upper triangle through boolean masks.  The functions here state the
+k-cycle once, parses the text format with ``np.loadtxt``, walks the
+upper triangle through boolean masks and builds tsvd from the top-k
+symmetric eigenpairs.  The functions here state the
 definitions directly, one node, edge, tuple, line or explicit (i, j) pair
 at a time, and serve as oracles for the property tests in
 ``test_oracles.py``.
@@ -28,7 +30,7 @@ from eigm.oddsproduct import (
     _prob_from_logits,
     _solve_step,
 )
-from eigm.probmatrix import ProbMatrix, _check_dense_cap
+from eigm.probmatrix import ProbMatrix, _check_dense_cap, to_dense
 from eigm.rng import make_rng
 
 
@@ -324,3 +326,59 @@ def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
     iu = np.triu_indices(n, 1)
     a[iu] = make_rng(seed).random(len(iu[0])) * scale
     return ProbMatrix.from_array(a + a.T)
+
+
+def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
+    """The volume shift over the upper-triangle values taken by index arrays:
+    safeguarded Newton on f(s) = sum clip(L + s, 0, 1) - target, stopped
+    within 1e-9 * target."""
+    l = np.asarray(l, dtype=np.float64)
+    vals = l[np.triu_indices(l.shape[0], 1)]
+    npairs = vals.size
+    if not 0.0 < target_volume <= npairs:
+        raise ValueError(
+            f"target volume {target_volume} not attainable in (0, {npairs}]"
+        )
+
+    def f(s: float) -> float:
+        return float(np.clip(vals + s, 0.0, 1.0).sum())
+
+    tol = 1e-9 * target_volume
+    s = 0.0
+    lo = float(-vals.max())
+    hi = float(1.0 - vals.min())
+    for _ in range(200):
+        err = f(s) - target_volume
+        if abs(err) <= tol:
+            return s
+        if err > 0:
+            hi = min(hi, s)
+        else:
+            lo = max(lo, s)
+        shifted = vals + s
+        slope = float(np.count_nonzero((shifted > 0.0) & (shifted < 1.0)))
+        if slope > 0 and lo < s - err / slope < hi:
+            s = s - err / slope
+        else:
+            s = 0.5 * (lo + hi)
+    raise RuntimeError("volume shift search did not converge in 200 iterations")
+
+
+def tsvd_model(a: Graph, k: int) -> ProbMatrix:
+    """The rank-k truncation from a full dense SVD: keep the k largest
+    singular triplets, symmetrize, zero the diagonal, shift to volume m and
+    clip to [0, 1]."""
+    n = a.n
+    if not 1 <= k <= n:
+        raise ValueError(f"rank must be in [1, n], got {k}")
+    if a.m == 0:
+        raise ValueError("tsvd model undefined for an empty graph")
+    adj = to_dense(a).mat
+    u, s, vt = np.linalg.svd(adj)
+    low = (u[:, :k] * s[:k]) @ vt[:k]
+    low = 0.5 * (low + low.T)
+    np.fill_diagonal(low, 0.0)
+    shift = fit_volume_shift(low, float(a.m))
+    p = np.clip(low + shift, 0.0, 1.0)
+    np.fill_diagonal(p, 0.0)
+    return ProbMatrix.from_array(p)

@@ -286,8 +286,8 @@ def test_sweep_failure_at_any_stage_is_a_marked_row(tmp_path, capsys):
     assert capsys.readouterr().err == "all grid points failed\n"
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 10
-    assert all(",error: " in row for row in rows)
-    assert sum(row.endswith("error: overlap undefined: volume is zero") for row in rows) == 5
+    assert sum(",error[build]: " in row for row in rows) == 5
+    assert sum(row.endswith("error[overlap]: overlap undefined: volume is zero") for row in rows) == 5
 
 
 def test_sweep_error_rows_keep_the_header_width(tmp_path, capsys):
@@ -302,7 +302,7 @@ def test_sweep_error_rows_keep_the_header_width(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert [len(row) for row in rows] == [21, 21, 21]
     assert rows[1][-1] == "ok"
-    assert rows[2][-1] == "error: omega must be in [0, 1], got 1.5"
+    assert rows[2][-1] == "error[build]: omega must be in [0, 1], got 1.5"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -12,7 +12,7 @@ from eigm.modelzoo import (
     linear_model,
     tsvd_model,
 )
-from eigm.probmatrix import overlap, to_dense, volume
+from eigm.probmatrix import DEFAULT_DENSE_CAP, CapacityError, overlap, to_dense, volume
 from eigm.synth import random_connected_graph
 
 from conftest import complete_graph
@@ -173,6 +173,14 @@ def test_tsvd_rejects_bad_rank(path3):
         tsvd_model(path3, 0)
     with pytest.raises(ValueError):
         tsvd_model(path3, 4)
+
+
+def test_tsvd_refuses_n_above_the_dense_cap_on_both_solvers():
+    n = DEFAULT_DENSE_CAP + 1
+    g = Graph.from_edges(n, [(0, 1)])
+    for k in (1, n):  # eigsh, eigh
+        with pytest.raises(CapacityError):
+            tsvd_model(g, k)
 
 
 def test_volume_preserved_across_zoo(test_graphs):

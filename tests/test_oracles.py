@@ -1,9 +1,12 @@
 """Property tests: the sparse/vectorized kernels equal the loop oracles, the
 degree-class odds-product fit equals the node-level Newton fit, the
 once-per-cycle k-cycle count equals the ordered-tuple sum, and the masked
-sampler, text writer and random matrix equal their index-array oracles, and
-the ``np.loadtxt`` text reader equals the line-by-line reader."""
+sampler, text writer, random matrix and volume shift equal their
+index-array oracles, the ``np.loadtxt`` text reader equals the line-by-line
+reader, and the eigenpair tsvd model equals the dense-SVD one."""
 
+import importlib.util
+import itertools
 import math
 import tempfile
 import warnings
@@ -22,6 +25,7 @@ from eigm.graphs import (
     degrees,
     largest_connected_component,
 )
+from eigm.modelzoo import fit_volume_shift, tsvd_model
 from eigm.oddsproduct import FitConvergenceError, fit_odds_product
 from eigm.probmatrix import (
     ProbMatrix,
@@ -29,9 +33,16 @@ from eigm.probmatrix import (
     load_probmatrix,
     sample,
     save_probmatrix,
+    to_dense,
+    volume,
 )
 from eigm.stats import char_path_length, compare, global_clustering, triangle_counts
-from eigm.synth import clustered_graph, random_connected_graph, random_probmatrix
+from eigm.synth import (
+    clustered_graph,
+    powerlaw_configuration_graph,
+    random_connected_graph,
+    random_probmatrix,
+)
 
 
 @st.composite
@@ -405,3 +416,66 @@ def test_header_only_file_is_the_zero_matrix_without_warnings(tmp_path):
 def test_random_probmatrix_matches_index_array_oracle(scale):
     for n in range(1, 41):
         assert random_probmatrix(n, 7 * n, scale) == oracles.random_probmatrix(n, 7 * n, scale)
+
+
+def _assert_tsvd_matches_svd_oracle(g: Graph, k: int):
+    if k < g.n:
+        # with |lambda_k| = |lambda_(k+1)| the rank-k truncation is not unique
+        lam = np.sort(np.abs(np.linalg.eigvalsh(to_dense(g).mat)))[::-1]
+        assert lam[k - 1] - lam[k] > 1e-6
+    p = tsvd_model(g, k)
+    assert np.abs(p.mat - oracles.tsvd_model(g, k).mat).max() <= 1e-10
+    assert abs(volume(p) - g.m) <= 1e-6 * g.m
+
+
+@pytest.mark.parametrize("k", [16, 40])
+def test_tsvd_matches_svd_oracle_on_both_solvers(k):
+    g, _ = largest_connected_component(powerlaw_configuration_graph(260, 2.2, seed=2))
+    assert g.n == 210
+    # rank 16 takes eigsh (8k <= n), rank 40 takes eigh
+    _assert_tsvd_matches_svd_oracle(g, k)
+
+
+@pytest.mark.parametrize("g, k", [
+    # the all-ones start vector of eigsh is the eigenvector of 8 and is
+    # orthogonal to the eigenvector of -8
+    pytest.param(Graph.from_edges(16, itertools.product(range(8), range(8, 16))),
+                 2, id="K8,8"),
+    # the start vector lies in the span of the two top eigenvectors (9 and 5)
+    pytest.param(Graph.from_edges(16, [*itertools.combinations(range(10), 2),
+                                       *itertools.combinations(range(10, 16), 2)]),
+                 2, id="K10+K6"),
+    # |lambda| = sqrt3, sqrt3, 1, 1, 0: k = n - 1 takes eigh and is unique
+    pytest.param(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 4, id="P5"),
+])
+def test_tsvd_matches_svd_oracle_on_structured_spectra(g, k):
+    _assert_tsvd_matches_svd_oracle(g, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 500])
+def test_volume_shift_matches_index_array_oracle(n):
+    rng = np.random.Generator(np.random.Philox(key=n))
+    l = rng.normal(0.0, 0.5, size=(n, n))
+    l = 0.5 * (l + l.T)
+    target = 0.3 * n * (n - 1) / 2
+    assert fit_volume_shift(l, target) == oracles.fit_volume_shift(l, target)
+
+
+def test_volume_shift_matches_index_array_oracle_on_bench_reference(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scale = workloads.SCALES["full"]
+    g = workloads.powerlaw_reference(scale["powerlaw_draw_n"], scale["powerlaw_n"], 0)
+    shifts = []
+
+    def checked_shift(l, target_volume):
+        shifts.append(fit_volume_shift(l, target_volume))
+        assert shifts[-1] == oracles.fit_volume_shift(l, target_volume)
+        return shifts[-1]
+
+    monkeypatch.setattr("eigm.modelzoo.fit_volume_shift", checked_shift)
+    for k in scale["powerlaw_ranks"]:
+        tsvd_model(g, k)
+    assert len(shifts) == len(scale["powerlaw_ranks"])

@@ -145,15 +145,28 @@ def test_sweep_empirical_overlap_consistency(reference):
 def test_sweep_failure_row_marked(reference):
     # rank 0 is invalid for tsvd: the row is marked, not raised
     row = evaluate_point(reference, ModelSpec("tsvd", 0), samples=2, seed=0)
-    assert row.status.startswith("error:")
+    assert row.status.startswith("error[build]: rank must be in [1, n]")
     assert math.isnan(row.overlap_expected)
     assert math.isnan(row.means["triangle_count"])
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("build_model", "build"), ("overlap", "overlap"), ("sample", "sample"),
+    ("empirical_overlap", "overlap"), ("compare", "compare"),
+])
+def test_failure_row_names_the_stage(reference, monkeypatch, name, stage):
+    def fail(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(f"eigm.sweep.{name}", fail)
+    row = evaluate_point(reference, ModelSpec("linear", 0.5), samples=2, seed=0)
+    assert row.status == f"error[{stage}]: boom"
 
 
 @pytest.mark.parametrize("kind, knob, key", [("hdop", 1.7, "h"), ("tsvd", 2.5, "rank")])
 def test_fractional_integer_knob_is_an_error_row(reference, kind, knob, key):
     row = evaluate_point(reference, ModelSpec(kind, knob), samples=2, seed=0)
-    assert row.status == f"error: {key} must be an integer, got {knob}"
+    assert row.status == f"error[build]: {key} must be an integer, got {knob}"
 
 
 def test_csv_header_and_row_shape(reference):
