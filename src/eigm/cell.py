@@ -105,7 +105,7 @@ def cell_symmetrize(p_star: np.ndarray) -> ProbMatrix:
 
 
 def _row_polynomial_values(
-    positions: np.ndarray, neighbor_pos: np.ndarray, eps_roots: float
+    positions: np.ndarray, neighbor_pos: np.ndarray, eps: float
 ) -> np.ndarray:
     """Evaluate the bracketing polynomial of one row on all node positions.
 
@@ -122,13 +122,11 @@ def _row_polynomial_values(
         w[k] = 1.0 / float(np.prod(diff)) if d > 1 else 1.0
     vals = np.ones_like(positions)
     for j in range(d):
-        vals = vals * ((positions - neighbor_pos[j]) ** 2 - (eps_roots * w[j]) ** 2)
-    return -vals / eps_roots**2
+        vals = vals * ((positions - neighbor_pos[j]) ** 2 - (eps * w[j]) ** 2)
+    return -vals / eps**2
 
 
-def vandermonde_embedding(
-    a: Graph, eps_roots: float | None = None, scale: float = 1e4
-) -> LogitMatrix:
+def vandermonde_embedding(a: Graph, scale: float = 1e4) -> LogitMatrix:
     """Rank-bounded logits whose row softmax approximates D^-1 A.
 
     Row i evaluates a degree-2*d_i polynomial at integer node positions
@@ -138,31 +136,33 @@ def vandermonde_embedding(
     ``rank_bound`` certifies the rank.  Scaling by ``scale`` sharpens the
     softmax toward 1/d_i on neighbors.
 
-    ``eps_roots`` is the root-bracket half-width scale.  Its default
-    couples to 1/scale: the residual softmax imbalance among neighbor
-    entries grows like scale * eps_roots^2, so fixing eps_roots = 1/scale
-    makes the approximation error shrink as the scale grows.
+    The root brackets have half-width scale 1/scale: the residual softmax
+    imbalance among neighbor entries grows like scale * eps^2 for a
+    half-width eps, so eps = 1/scale makes the approximation error shrink
+    as the scale grows.  The brackets must not overlap, hence scale > 2.
     """
     if a.n > EMBED_NODE_CAP:
         raise ValueError(f"embedding capped at n <= {EMBED_NODE_CAP}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if eps_roots is None:
-        eps_roots = 1.0 / scale
-    if not 0.0 < eps_roots < 0.5:
-        raise ValueError("eps_roots must be in (0, 0.5)")
+    if not (np.isfinite(scale) and scale > 2.0):
+        raise ValueError(f"scale must be finite and > 2, got {scale}")
     d = degrees(a)
     if np.any(d == 0):
         raise ValueError("graph has isolated nodes; target D^-1 A undefined")
     n = a.n
     positions = np.arange(1, n + 1, dtype=np.float64)
     w = np.empty((n, n))
-    for i in range(n):
-        neighbor_pos = a.neighbors(i).astype(np.float64) + 1.0
-        w[i] = _row_polynomial_values(positions, neighbor_pos, eps_roots)
+    # an extreme scale overflows or underflows here; the finiteness check
+    # below reports it, so numpy's warnings would only repeat it
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            neighbor_pos = a.neighbors(i).astype(np.float64) + 1.0
+            w[i] = _row_polynomial_values(positions, neighbor_pos, 1.0 / scale)
+        w = scale * w
     if not np.all(np.isfinite(w)):
-        raise OverflowError("polynomial expansion overflowed; reduce n or degree")
-    return LogitMatrix(w=scale * w, rank_bound=2 * int(d.max()) + 1)
+        raise OverflowError(
+            f"embedding logits overflowed at scale {scale:g}; reduce scale, n or degree"
+        )
+    return LogitMatrix(w=w, rank_bound=2 * int(d.max()) + 1)
 
 
 def verify_embedding(a: Graph, w: LogitMatrix | np.ndarray) -> tuple[float, int]:

@@ -87,9 +87,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_fit(args) -> int:
     g, _ = load_edge_list(args.input)
-    logits, p, report = fit_odds_product(
-        degrees(g), eps=args.eps, max_iter=args.max_iter, damped=not args.no_damping
-    )
+    _, p, report = fit_odds_product(degrees(g))
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
@@ -236,10 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the degree-matching odds-product model")
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--no-damping", action="store_true",
-                   help="disable the backtracking line search (pure Newton)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sample", help="sample graphs from a stored probability matrix")
@@ -296,7 +290,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:  # LinAlgError is a ValueError
+    # LinAlgError is a ValueError; OverflowError is an ArithmeticError
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a bare MemoryError() carries no message

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .probmatrix import ProbMatrix
+from .probmatrix import ProbMatrix, _check_dense_cap
 
 __all__ = [
     "FitReport",
@@ -28,12 +28,16 @@ __all__ = [
     "degree_jacobian",
     "fit_odds_product",
     "EXCLUDED_LOGIT",
+    "MAX_ITER",
 ]
 
 # Logit assigned to zero-degree nodes, which are removed before fitting and
 # re-inserted afterwards.  Finite, but large enough that expit underflows to
 # exactly 0.0 against any logit the fit can produce.
 EXCLUDED_LOGIT = -1e9
+
+# Newton steps before the fit gives up on a sequence.
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -106,19 +110,17 @@ def _solve_step(j: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def fit_odds_product(
-    d: np.ndarray,
-    eps: float = 1e-6,
-    max_iter: int = 100,
-    damped: bool = True,
+    d: np.ndarray, eps: float = 1e-6
 ) -> tuple[np.ndarray, ProbMatrix, FitReport]:
     """Fit logits so the model's expected degrees match ``d``.
 
-    Newton-Raphson on one logit per distinct degree, from ell = 0, with a
-    backtracking step (halved on residual increase, at most 30 times)
-    unless ``damped`` is False.  Inside the loop the residual target is
-    tightened to min(eps, 10 * eps / sqrt(n)) so the infinity-norm degree
-    error is bounded by 10 * eps / sqrt(n) on success; convergence is
-    declared whenever the 2-norm residual is <= eps.
+    Newton-Raphson on one logit per distinct degree, from ell = 0, for at
+    most :data:`MAX_ITER` steps, each with a backtracking step size (halved
+    on residual increase, at most 30 times).  Inside the loop the residual
+    target is tightened to min(eps, 10 * eps / sqrt(n)) so the
+    infinity-norm degree error is bounded by 10 * eps / sqrt(n) on success;
+    convergence is declared whenever the 2-norm residual is <= eps.  An n
+    above the dense cap is refused before the n x n P is built.
 
     Zero-degree nodes are removed before fitting (their logits diverge)
     and re-inserted as zero rows; their returned logit is the finite
@@ -136,6 +138,7 @@ def fit_odds_product(
         raise ValueError("degrees must lie in [0, n-1]")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    _check_dense_cap(n)
 
     active = np.flatnonzero(d > 0)
     logits = np.full(n, EXCLUDED_LOGIT, dtype=np.float64)
@@ -154,7 +157,7 @@ def fit_odds_product(
     iterations = 0
     stalled = False
 
-    while res > target and iterations < max_iter:
+    while res > target and iterations < MAX_ITER:
         # the node Jacobian B + diag(B @ 1) restricted to class-constant steps
         b = p * (1.0 - p)
         jac = b * cnt + np.diag(b @ cnt - 2.0 * np.diagonal(b))
@@ -165,7 +168,7 @@ def fit_odds_product(
         for _ in range(31):
             ell_try = ell - eta * step
             p_try, r_try, res_try = _class_residual(ell_try, dc, cnt)
-            if res_try < res or not damped:
+            if res_try < res:
                 improved = True
                 break
             eta *= 0.5
@@ -187,7 +190,7 @@ def fit_odds_product(
         ridge_used=ridge_used,
     )
     if not converged:
-        reason = "line search stalled" if stalled else f"max_iter={max_iter} reached"
+        reason = "line search stalled" if stalled else f"MAX_ITER={MAX_ITER} reached"
         raise FitConvergenceError(
             f"degree fit did not converge ({reason}, residual {res:.3e} > {eps:g}); "
             "the target sequence may not be graphical",

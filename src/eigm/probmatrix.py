@@ -47,10 +47,10 @@ class CapacityError(ValueError):
     """Graph too large for the dense-matrix code paths."""
 
 
-def _check_dense_cap(n: int, cap: int = DEFAULT_DENSE_CAP) -> None:
+def _check_dense_cap(n: int) -> None:
     """Refuse an n above the cap before anything of size n is allocated."""
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds dense-matrix cap {cap}")
+    if n > DEFAULT_DENSE_CAP:
+        raise CapacityError(f"n={n} exceeds dense-matrix cap {DEFAULT_DENSE_CAP}")
 
 
 class ZeroVolumeError(ValueError):
@@ -102,9 +102,9 @@ class ProbMatrix:
         return f"ProbMatrix(n={self.n}, volume={volume(self):.6g})"
 
 
-def to_dense(g: Graph, cap: int = DEFAULT_DENSE_CAP) -> ProbMatrix:
+def to_dense(g: Graph) -> ProbMatrix:
     """Binary probability matrix of a graph; a model that memorizes it."""
-    _check_dense_cap(g.n, cap)
+    _check_dense_cap(g.n)
     a = g.to_csr(np.float64).toarray()
     a.flags.writeable = False
     return ProbMatrix(mat=a)
@@ -169,10 +169,7 @@ def expected_kcycles_trace(p: ProbMatrix, k: int) -> float:
     """
     if not 3 <= k <= 8:
         raise ValueError("k must be in [3, 8]")
-    acc = p.mat
-    for _ in range(k - 1):
-        acc = acc @ p.mat
-    return float(np.trace(acc) / (2.0 * k))
+    return float(np.trace(np.linalg.matrix_power(p.mat, k)) / (2.0 * k))
 
 
 def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:

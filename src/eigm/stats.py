@@ -174,7 +174,11 @@ class PowerLawFit:
     n_tail: int
 
 
-def fit_power_law(d: np.ndarray, min_tail: int = 10) -> PowerLawFit | None:
+# Fewest tail points a power-law cutoff candidate may keep.
+_MIN_TAIL = 10
+
+
+def fit_power_law(d: np.ndarray) -> PowerLawFit | None:
     """Maximum-likelihood power-law exponent with KS-selected cutoff.
 
     The exponent uses the continuous approximation of the discrete MLE,
@@ -183,20 +187,20 @@ def fit_power_law(d: np.ndarray, min_tail: int = 10) -> PowerLawFit | None:
     candidate is scored by the Kolmogorov-Smirnov distance between the
     empirical tail CDF and the fitted discrete power-law CDF (Hurwitz
     zeta normalization, which stays faithful at small x_min); the
-    smallest distance wins.  Candidates need at least ``min_tail`` tail
+    smallest distance wins.  Candidates need at least 10 tail
     points and two distinct tail values; returns None when no candidate
     qualifies (e.g. all degrees equal).
     """
     vals = np.asarray(d, dtype=np.float64)
     vals = vals[vals > 0]
-    if vals.size < min_tail:
+    if vals.size < _MIN_TAIL:
         return None
     vals = np.sort(vals)
     best: PowerLawFit | None = None
     for x_min in np.unique(vals):
         tail = vals[vals >= x_min]
         n_tail = tail.size
-        if n_tail < min_tail or tail[-1] == tail[0]:
+        if n_tail < _MIN_TAIL or tail[-1] == tail[0]:
             continue
         alpha = 1.0 + n_tail / float(np.log(tail / (x_min - 0.5)).sum())
         if not math.isfinite(alpha) or alpha <= 1.0:

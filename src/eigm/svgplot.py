@@ -21,7 +21,7 @@ def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
         for x, y in pts:
             if math.isfinite(x) and math.isfinite(y):
                 pts_all.append(y)
-    if ref_value is not None and math.isfinite(ref_value):
+    if math.isfinite(ref_value):
         pts_all.append(ref_value)
     if not pts_all:
         pts_all = [0.0, 1.0]
@@ -58,7 +58,7 @@ def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
             f'<text x="{left - 4}" y="{py(val) + 3:.1f}" text-anchor="end" '
             f'font-size="9">{val:.3g}</text>'
         )
-    if ref_value is not None and math.isfinite(ref_value) and lo <= ref_value <= hi:
+    if math.isfinite(ref_value) and lo <= ref_value <= hi:
         y = py(ref_value)
         out.append(
             f'<line x1="{left}" y1="{y:.1f}" x2="{left + width}" y2="{y:.1f}" '
@@ -83,7 +83,7 @@ def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
     return "\n".join(out)
 
 
-def render_sweep_svg(rows: list[SweepRow], reference: StatsRecord | None = None) -> str:
+def render_sweep_svg(rows: list[SweepRow], reference: StatsRecord) -> str:
     """One panel per statistic (2 x 4 grid), x = expected overlap.
 
     Dashed horizontal line marks the reference graph's own value.
@@ -116,7 +116,7 @@ def render_sweep_svg(rows: list[SweepRow], reference: StatsRecord | None = None)
             ]
             for m in models
         }
-        ref_value = getattr(reference, stat) if reference is not None else None
+        ref_value = getattr(reference, stat)
         x0 = (k % cols) * _PANEL_W
         y0 = (k // cols) * _PANEL_H
         parts.append(_panel(stat, rows_by_model, ref_value, x0, y0, color_of))

@@ -25,6 +25,7 @@ import scipy.sparse.csgraph
 from eigm.graphs import Graph
 from eigm.oddsproduct import (
     EXCLUDED_LOGIT,
+    MAX_ITER,
     FitConvergenceError,
     FitReport,
     _prob_from_logits,
@@ -173,10 +174,7 @@ def char_path_length(g: Graph) -> float:
 
 
 def fit_odds_product(
-    d: np.ndarray,
-    eps: float = 1e-6,
-    max_iter: int = 100,
-    damped: bool = True,
+    d: np.ndarray, eps: float = 1e-6
 ) -> tuple[np.ndarray, ProbMatrix, FitReport]:
     """Damped Newton on one logit per node: each step solves the dense
     n x n system J = B + diag(B @ 1), B = P * (1 - P) with zero diagonal.
@@ -209,7 +207,7 @@ def fit_odds_product(
     iterations = 0
     stalled = False
 
-    while res > target and iterations < max_iter:
+    while res > target and iterations < MAX_ITER:
         b = p * (1.0 - p)
         np.fill_diagonal(b, 0.0)
         jac = b + np.diag(b.sum(axis=1))
@@ -222,7 +220,7 @@ def fit_odds_product(
             p_try = _prob_from_logits(ell_try)
             r_try = p_try.sum(axis=1) - da
             res_try = float(np.linalg.norm(r_try))
-            if res_try < res or not damped:
+            if res_try < res:
                 improved = True
                 break
             eta *= 0.5
@@ -244,7 +242,7 @@ def fit_odds_product(
         ridge_used=ridge_used,
     )
     if not converged:
-        reason = "line search stalled" if stalled else f"max_iter={max_iter} reached"
+        reason = "line search stalled" if stalled else f"MAX_ITER={MAX_ITER} reached"
         raise FitConvergenceError(
             f"degree fit did not converge ({reason}, residual {res:.3e} > {eps:g}); "
             "the target sequence may not be graphical",

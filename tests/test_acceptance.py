@@ -164,7 +164,7 @@ def test_c06_odds_product_fit_and_jacobian():
     for t in range(20):
         g = powerlaw_configuration_graph(1000, 2.5, seed=derive_seed(707, t))
         d = degrees(g)
-        _, p, report = fit_odds_product(d, eps=1e-6, max_iter=50)
+        _, p, report = fit_odds_product(d, eps=1e-6)
         assert report.converged
         worst_err = max(worst_err, report.final_max_abs_error)
         worst_iters = max(worst_iters, report.iterations)

@@ -151,7 +151,7 @@ def test_embedding_single_edge():
 
 
 def test_embedding_path3_explicit_eps(path3):
-    w = vandermonde_embedding(path3, eps_roots=1e-4, scale=1e4)
+    w = vandermonde_embedding(path3, scale=1e4)  # root half-width eps = 1e-4
     max_error, numerical_rank = verify_embedding(path3, w)
     assert max_error <= 1e-3
     assert numerical_rank <= 5
@@ -184,10 +184,9 @@ def test_embedding_input_validation(path3):
         vandermonde_embedding(Graph.from_edges(3, [(0, 1)]))  # isolated node
     with pytest.raises(ValueError):
         vandermonde_embedding(random_connected_graph(25, 0.1, seed=0))  # cap
-    with pytest.raises(ValueError):
-        vandermonde_embedding(path3, eps_roots=0.7)
-    with pytest.raises(ValueError):
-        vandermonde_embedding(path3, scale=-1.0)
+    for scale in (-1.0, 2.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="scale must be finite and > 2"):
+            vandermonde_embedding(path3, scale=scale)
 
 
 def test_verify_embedding_direct_logits(star4):

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def test_fit_five_cycle(tmp_path, capsys):
     assert off == pytest.approx(0.5)
     trace = (tmp_path / "c5_fit.csv").read_text().splitlines()
     assert trace[0] == "iteration,residual"
+
+
+def test_fit_above_the_dense_cap_is_one_line_error(tmp_path, capsys):
+    edges = tmp_path / "path.edges"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(10000)), encoding="utf-8")
+    rc = main(["fit", "--input", str(edges), "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: n=10001 exceeds dense-matrix cap 10000\n"
+    assert not (tmp_path / "path.pmat").exists()
 
 
 def test_sample_deterministic_bytes(tmp_path, capsys):
@@ -111,6 +121,9 @@ def test_count_below_one_is_a_usage_error(argv, capsys):
     (["verify", "--theorem", "quad"], "eigm verify"),
     (["sweep", "--workers", "2"], "eigm"),
     (["nope"], "eigm"),
+    (["fit", "--input", "g.edges", "--eps", "1e-6"], "eigm"),
+    (["fit", "--input", "g.edges", "--max-iter", "100"], "eigm"),
+    (["fit", "--input", "g.edges", "--no-damping"], "eigm"),
 ])
 def test_usage_error_is_one_stderr_line(argv, prog, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -189,6 +202,16 @@ def test_cell_verify_rows(capsys):
         n, dmax, bound, rank, err = line.split(",")
         assert int(rank) <= int(bound) == 2 * int(dmax) + 1
         assert float(err) <= 1e-3
+
+
+def test_cell_verify_overflow_is_one_line_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails
+        rc = main(["cell-verify", "--scale", "1e200"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "overflowed" in err[0]
 
 
 def test_sweep_end_to_end(tmp_path, capsys):

@@ -10,7 +10,13 @@ from eigm.oddsproduct import (
     fit_odds_product,
     predicted_degrees,
 )
-from eigm.probmatrix import ProbMatrix, convex_combine, to_dense
+from eigm.probmatrix import (
+    DEFAULT_DENSE_CAP,
+    CapacityError,
+    ProbMatrix,
+    convex_combine,
+    to_dense,
+)
 from eigm.synth import random_connected_graph
 
 from conftest import small_graphs
@@ -100,6 +106,12 @@ def test_fit_all_zero_degrees():
     assert p.mat.sum() == 0.0
 
 
+def test_fit_refuses_n_above_the_dense_cap():
+    # a cheap degree vector would otherwise build an 800 MB n x n P
+    with pytest.raises(CapacityError):
+        fit_odds_product(np.ones(DEFAULT_DENSE_CAP + 1))
+
+
 def test_fit_rejects_bad_input():
     with pytest.raises(ValueError):
         fit_odds_product(np.array([5, 1, 1]))  # degree > n-1
@@ -113,7 +125,7 @@ def test_fit_infeasible_raises_with_report():
     # (3,3,1,1) fails Erdos-Gallai at k=2 and is infeasible even for
     # expected degrees: two full rows force the other row sums above 1
     with pytest.raises(FitConvergenceError) as exc:
-        fit_odds_product(np.array([3, 3, 1, 1]), max_iter=60)
+        fit_odds_product(np.array([3, 3, 1, 1]))
     report = exc.value.report
     assert not report.converged
     assert len(report.residual_history) >= 1
@@ -153,15 +165,6 @@ def test_degree_preservation_under_convex_combination():
     for omega in (0.0, 0.25, 0.6, 1.0):
         combined = convex_combine(p, a, omega)
         assert np.abs(combined.mat.sum(axis=1) - d).max() <= 1e-6
-
-
-def test_fit_undamped_newton(cycle5):
-    # pure Newton (no backtracking) converges on well-behaved sequences
-    g = random_connected_graph(50, 0.1, seed=2)
-    for graph in (cycle5, g):
-        _, p, report = fit_odds_product(degrees(graph), damped=False)
-        assert report.converged
-        assert np.abs(p.mat.sum(axis=1) - degrees(graph)).max() <= 1e-6
 
 
 def test_fit_larger_graph_infinity_norm():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eigm.graphs import Graph
 from eigm.probmatrix import (
+    DEFAULT_DENSE_CAP,
     CapacityError,
     ProbMatrix,
     ZeroVolumeError,
@@ -100,7 +101,7 @@ def test_to_dense_examples(triangle):
     assert np.array_equal(to_dense(empty).mat, np.zeros((3, 3)))
     assert np.array_equal(to_dense(triangle).mat, np.ones((3, 3)) - np.eye(3))
     with pytest.raises(CapacityError):
-        to_dense(single, cap=1)
+        to_dense(Graph.from_edges(DEFAULT_DENSE_CAP + 1, []))
 
 
 def test_sample_determinism_and_limits(triangle):
