@@ -1,66 +1,39 @@
 #!/usr/bin/env python3
-"""Overlap sweep demo on a synthetic triangle-rich graph (or a user file).
-
-Builds the four baseline models over knob grids, samples each grid point,
-and writes sweep.csv plus sweep.svg under --output-dir.  With --input the
-sweep runs on a user edge list instead of the synthetic input.
+"""Overlap sweep demo: write a triangle-rich synthetic edge list (chained
+7-cliques with sparse bridges) and a four-model config under --output-dir,
+then run ``eigm sweep`` on them, which writes sweep.csv and sweep.svg there.
 """
 
 import argparse
 from pathlib import Path
 
-from eigm.graphs import largest_connected_component, load_edge_list
-from eigm.modelzoo import ModelSpec
-from eigm.svgplot import render_sweep_svg
-from eigm.sweep import reference_record, run_sweep, sweep_csv_header
+from eigm.cli import main as eigm_main
+from eigm.graphs import serialize_edge_list
 from eigm.synth import clustered_graph
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--input", default=None, help="edge list (default: synthetic)")
     parser.add_argument("--cliques", type=int, default=12, help="synthetic clique count")
-    parser.add_argument("--clique-size", type=int, default=7)
     parser.add_argument("--samples", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output-dir", default="sweep_out")
     args = parser.parse_args()
-
-    if args.input:
-        g, _ = load_edge_list(args.input)
-        reference, _ = largest_connected_component(g)
-    else:
-        # triangle-rich synthetic input; uniform random graphs are too
-        # triangle-poor to show the overlap trade-off
-        reference = clustered_graph(
-            args.cliques, args.clique_size, 0.01, seed=args.seed
-        )
-    print(f"reference: n={reference.n}, m={reference.m}")
-
-    n = reference.n
-    omegas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    specs = (
-        [ModelSpec("linear", w) for w in omegas]
-        + [ModelSpec("ccop", w) for w in omegas]
-        + [ModelSpec("hdop", h) for h in (0, n // 8, n // 4, n // 2, n)]
-        + [ModelSpec("tsvd", k) for k in (1, 2, 4, 8, max(9, n // 2))]
-    )
-    rows = run_sweep(reference, specs, samples=args.samples, seed=args.seed)
-
+    # uniform random graphs are too triangle-poor to show the overlap trade-off
+    g = clustered_graph(args.cliques, 7, 0.01, args.seed)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(
-        "\n".join([sweep_csv_header()] + [r.csv_row() for r in rows]) + "\n"
+    edges, config = out / "clustered.edges", out / "demo.cfg"
+    edges.write_text(serialize_edge_list(g))
+    n, omegas = g.n, "0, 0.2, 0.4, 0.6, 0.8, 1"
+    config.write_text(
+        f"input = {edges}\nsamples = {args.samples}\nseed = {args.seed}\n"
+        f"output_dir = {out}\n[linear]\nomega = {omegas}\n[ccop]\nomega = {omegas}\n"
+        f"[hdop]\nh = 0, {n // 8}, {n // 4}, {n // 2}, {n}\n"
+        f"[tsvd]\nrank = 1, 2, 4, 8, {max(9, n // 2)}\n"
     )
-    (out / "sweep.svg").write_text(render_sweep_svg(rows, reference_record(reference)))
-    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.svg'}")
-    for r in rows:
-        tri = r.means["triangle_count"]
-        print(
-            f"  {r.model:6s} knob={r.knob:<8g} overlap={r.overlap_expected:.3f} "
-            f"triangles={tri:.1f} [{r.status}]"
-        )
+    return eigm_main(["sweep", "--config", str(config), "--plot"])
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

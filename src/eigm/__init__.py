@@ -66,11 +66,9 @@ from .bounds import (
     check_kcycle_bound,
     check_triangle_bound,
     er_construction,
-    er_triangle_tightness_ratio,
 )
 from .cell import (
     LogitMatrix,
-    cell_objective,
     cell_symmetrize,
     rowwise_softmax,
     unconstrained_optimum,

@@ -10,7 +10,7 @@ three bounds follow from it:
 Each check returns a :class:`BoundReport` comparing an exact expectation
 (dense trace or combinatorial enumeration) or a Monte-Carlo estimate
 against the bound.  The uniform (Erdos-Renyi) matrix makes all three
-asymptotically tight, which the er_* helpers exercise.
+asymptotically tight; er_construction builds it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "check_kcycle_bound",
     "check_cc_tightness",
     "er_construction",
-    "er_triangle_tightness_ratio",
 ]
 
 _EXACT_SLACK = 1e-9
@@ -171,14 +170,3 @@ def er_construction(n: int, gamma: float) -> ProbMatrix:
     a = np.full((n, n), gamma)
     np.fill_diagonal(a, 0.0)
     return ProbMatrix.from_array(a)
-
-
-def er_triangle_tightness_ratio(n: int) -> float:
-    """Closed-form lhs/rhs for the triangle bound on the uniform matrix.
-
-    gamma cancels: C(n,3) / ((sqrt(2)/3) * C(n,2)^{3/2}).  Approaches 1
-    from below as n grows, witnessing tightness.
-    """
-    pairs = n * (n - 1) / 2.0
-    triples = n * (n - 1) * (n - 2) / 6.0
-    return triples / ((math.sqrt(2.0) / 3.0) * pairs**1.5)

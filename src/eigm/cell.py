@@ -17,13 +17,12 @@ import numpy as np
 import scipy.sparse.csgraph
 
 from .graphs import Graph, degrees
-from .probmatrix import ProbMatrix
+from .probmatrix import ProbMatrix, to_dense
 
 __all__ = [
     "LogitMatrix",
     "rowwise_softmax",
     "unconstrained_optimum",
-    "cell_objective",
     "cell_symmetrize",
     "vandermonde_embedding",
     "verify_embedding",
@@ -53,18 +52,7 @@ def unconstrained_optimum(a: Graph) -> np.ndarray:
     d = degrees(a)
     if np.any(d == 0):
         raise ValueError("graph has isolated nodes; D^-1 A undefined")
-    return a.to_csr(np.float64).toarray() / d[:, None]
-
-
-def cell_objective(a: Graph, row_stochastic: np.ndarray) -> float:
-    """Edge log-likelihood sum(A_ij * log Q_ij); -inf if an edge has Q = 0."""
-    total = 0.0
-    for i in range(a.n):
-        q = row_stochastic[i, a.neighbors(i)]
-        if np.any(q <= 0.0):
-            return float("-inf")
-        total += float(np.log(q).sum())
-    return total
+    return to_dense(a).mat / d[:, None]
 
 
 def _stationary_distribution(p_star: np.ndarray) -> np.ndarray:

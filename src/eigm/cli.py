@@ -133,6 +133,10 @@ def _specs_from_flags(args) -> tuple[ModelSpec, ...]:
 
 
 def cmd_sweep(args) -> int:
+    for key in dict.fromkeys(KNOB_KEYS.values()):  # omega, h, rank
+        if getattr(args, key) is not None and key != KNOB_KEYS.get(args.model):
+            kinds = " or ".join(k for k, v in KNOB_KEYS.items() if v == key)
+            args.usage_error(f"argument --{key}: applies only with --model {kinds}")
     if args.model:
         config = ExperimentConfig(_specs_from_flags(args))
     elif args.config:
@@ -250,19 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("sweep", help="run the overlap sweep over model grids")
-    p.add_argument("--config", default=None, help="key = value config file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--input", default=None)
     p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--plot", action="store_true", default=None, help="also emit sweep.svg")
-    p.add_argument("--model", choices=MODEL_KINDS,
-                   default=None, help="single-model mode instead of a config file")
+    source.add_argument("--model", choices=MODEL_KINDS,
+                        default=None, help="single-model mode instead of a config file")
     p.add_argument("--omega", default=None,
                    help="omega value or comma list (linear, ccop)")
     p.add_argument("--h", default=None, help="pinned-node count(s) (hdop)")
     p.add_argument("--rank", default=None, help="rank value(s) (tsvd)")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("verify", help="check the subgraph-density bounds")
     p.add_argument("--theorem", required=True, choices=("tri", "kcycle", "cc"))

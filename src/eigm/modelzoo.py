@@ -50,6 +50,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        # sample seeds hash repr(knob): 4 and 4.0 must draw the same samples
+        object.__setattr__(self, "knob", float(self.knob))
 
 
 def linear_model(a: Graph, omega: float) -> ProbMatrix:

@@ -50,9 +50,6 @@ class FitReport:
     final_max_abs_error: float
     ridge_used: bool = False
 
-    def final_residual(self) -> float:
-        return self.residual_history[-1]
-
 
 class FitConvergenceError(RuntimeError):
     """Newton iteration failed; carries the partial :class:`FitReport`."""

@@ -12,7 +12,6 @@ __all__ = [
     "random_probmatrix",
     "random_bounded_degree_graph",
     "powerlaw_configuration_graph",
-    "random_connected_graph",
 ]
 
 
@@ -91,22 +90,6 @@ def powerlaw_configuration_graph(n: int, exponent: float, seed: int) -> Graph:
     rng.shuffle(stubs)
     pairs = stubs.reshape(-1, 2)
     return Graph.from_edges(n, (tuple(e) for e in pairs))
-
-
-def random_connected_graph(n: int, extra_edge_prob: float, seed: int) -> Graph:
-    """Random spanning tree plus iid extra edges; always connected."""
-    rng = make_rng(seed)
-    edges = set()
-    order = rng.permutation(n)
-    for k in range(1, n):
-        u = int(order[k])
-        v = int(order[int(rng.integers(k))])
-        edges.add((min(u, v), max(u, v)))
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(len(iu)) < extra_edge_prob
-    for u, v in zip(iu[keep], ju[keep]):
-        edges.add((int(u), int(v)))
-    return Graph.from_edges(n, edges)
 
 
 def clustered_graph(n_cliques: int, clique_size: int, bridge_prob: float, seed: int) -> Graph:

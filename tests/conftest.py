@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from eigm.graphs import Graph
 from eigm.probmatrix import ProbMatrix, empirical_overlap, sample
-from eigm.rng import derive_seed
+from eigm.rng import derive_seed, make_rng
 
 
 def graph_from_pair_list(n, pairs):
@@ -39,6 +41,33 @@ def k4_minus_edge():
 
 def complete_graph(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def random_connected_graph(n: int, extra_edge_prob: float, seed: int) -> Graph:
+    """Random spanning tree plus iid extra edges; always connected."""
+    rng = make_rng(seed)
+    edges = set()
+    order = rng.permutation(n)
+    for k in range(1, n):
+        u = int(order[k])
+        v = int(order[int(rng.integers(k))])
+        edges.add((min(u, v), max(u, v)))
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < extra_edge_prob
+    for u, v in zip(iu[keep], ju[keep]):
+        edges.add((int(u), int(v)))
+    return Graph.from_edges(n, edges)
+
+
+def er_triangle_tightness_ratio(n: int) -> float:
+    """Closed-form lhs/rhs for the triangle bound on the uniform matrix.
+
+    gamma cancels: C(n,3) / ((sqrt(2)/3) * C(n,2)^{3/2}).  Approaches 1
+    from below as n grows, witnessing tightness.
+    """
+    pairs = n * (n - 1) / 2.0
+    triples = n * (n - 1) * (n - 2) / 6.0
+    return triples / ((math.sqrt(2.0) / 3.0) * pairs**1.5)
 
 
 @st.composite

@@ -18,7 +18,6 @@ from eigm.bounds import (
     check_kcycle_bound,
     check_triangle_bound,
     er_construction,
-    er_triangle_tightness_ratio,
 )
 from eigm.cell import vandermonde_embedding, verify_embedding
 from eigm.graphs import (
@@ -43,11 +42,15 @@ from eigm.stats import char_path_length, global_clustering, triangle_counts
 from eigm.synth import (
     powerlaw_configuration_graph,
     random_bounded_degree_graph,
-    random_connected_graph,
     random_probmatrix,
 )
 
-from conftest import complete_graph, pair_overlap_mean
+from conftest import (
+    complete_graph,
+    er_triangle_tightness_ratio,
+    pair_overlap_mean,
+    random_connected_graph,
+)
 
 DATA_DIR = Path(os.environ.get("EIGM_DATA_DIR", "data"))
 

@@ -9,7 +9,6 @@ from eigm.bounds import (
     check_kcycle_bound,
     check_triangle_bound,
     er_construction,
-    er_triangle_tightness_ratio,
 )
 from eigm.graphs import Graph
 from eigm.probmatrix import (
@@ -23,7 +22,7 @@ from eigm.probmatrix import (
 )
 from eigm.synth import random_probmatrix
 
-from conftest import prob_matrices
+from conftest import er_triangle_tightness_ratio, prob_matrices
 
 
 def test_er_construction_properties():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from eigm.cell import (
     LogitMatrix,
-    cell_objective,
     cell_symmetrize,
     rowwise_softmax,
     unconstrained_optimum,
@@ -13,9 +12,20 @@ from eigm.cell import (
 )
 from eigm.graphs import Graph, degrees
 from eigm.probmatrix import volume
-from eigm.synth import random_bounded_degree_graph, random_connected_graph
+from eigm.synth import random_bounded_degree_graph
 
-from conftest import complete_graph
+from conftest import complete_graph, random_connected_graph
+
+
+def cell_objective(a: Graph, row_stochastic: np.ndarray) -> float:
+    """Edge log-likelihood sum(A_ij * log Q_ij); -inf if an edge has Q = 0."""
+    total = 0.0
+    for i in range(a.n):
+        q = row_stochastic[i, a.neighbors(i)]
+        if np.any(q <= 0.0):
+            return float("-inf")
+        total += float(np.log(q).sum())
+    return total
 
 
 def test_rowwise_softmax_uniform():

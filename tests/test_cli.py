@@ -1,5 +1,7 @@
 import csv
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,34 @@ def test_usage_error_is_one_stderr_line(argv, prog, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{prog}: error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "c.cfg", "--model", "linear", "--omega", "0.5"],
+     "argument --model: not allowed with argument --config"),
+    (["--config", "c.cfg", "--omega", "0.7"],
+     "argument --omega: applies only with --model linear or ccop"),
+    (["--model", "linear", "--omega", "0.5", "--rank", "3"],
+     "argument --rank: applies only with --model tsvd"),
+    (["--h", "4", "--input", "g.edges"], "argument --h: applies only with --model hdop"),
+])
+def test_sweep_flag_that_would_be_ignored_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"eigm sweep: error: {message}\n"
+
+
+def test_readme_cli_lines_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [
+        line for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("eigm ") and "$" not in line
+    ]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_count_defaults():

@@ -13,9 +13,8 @@ from eigm.modelzoo import (
     tsvd_model,
 )
 from eigm.probmatrix import DEFAULT_DENSE_CAP, CapacityError, overlap, to_dense, volume
-from eigm.synth import random_connected_graph
 
-from conftest import complete_graph
+from conftest import complete_graph, random_connected_graph
 
 
 @pytest.fixture

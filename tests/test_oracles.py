@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import random_connected_graph
 from eigm import stats
 from eigm.graphs import (
     Graph,
@@ -40,7 +41,6 @@ from eigm.stats import char_path_length, compare, global_clustering, triangle_co
 from eigm.synth import (
     clustered_graph,
     powerlaw_configuration_graph,
-    random_connected_graph,
     random_probmatrix,
 )
 

@@ -18,9 +18,8 @@ from eigm.stats import (
     powerlaw_alpha,
     triangle_counts,
 )
-from eigm.synth import random_connected_graph
 
-from conftest import complete_graph, small_graphs
+from conftest import complete_graph, random_connected_graph, small_graphs
 
 
 def brute_force_triangles(g: Graph):

@@ -21,7 +21,9 @@ from eigm.sweep import (
     run_sweep,
     sweep_csv_header,
 )
-from eigm.synth import clustered_graph, random_connected_graph
+from eigm.synth import clustered_graph
+
+from conftest import random_connected_graph
 
 CONFIG_TEXT = """\
 # demo sweep
@@ -167,6 +169,14 @@ def test_failure_row_names_the_stage(reference, monkeypatch, name, stage):
 def test_fractional_integer_knob_is_an_error_row(reference, kind, knob, key):
     row = evaluate_point(reference, ModelSpec(kind, knob), samples=2, seed=0)
     assert row.status == f"error[build]: {key} must be an integer, got {knob}"
+
+
+def test_integer_and_float_knobs_give_the_same_row():
+    # sample seeds hash the knob, so 4 and 4.0 must reach the hash alike
+    g = clustered_graph(4, 7, 0.01, seed=0)
+    rows = [evaluate_point(g, ModelSpec("tsvd", k), 2, 0) for k in (4, 4.0)]
+    assert rows[0].status == "ok"
+    assert rows[0].csv_row() == rows[1].csv_row()
 
 
 def test_csv_header_and_row_shape(reference):
