@@ -128,7 +128,7 @@ def _specs_from_flags(args) -> tuple[ModelSpec, ...]:
     knob_flag = KNOB_KEYS[args.model]
     raw = getattr(args, knob_flag)
     if raw is None:
-        raise ValueError(f"--model {args.model} needs --{knob_flag}")
+        args.usage_error(f"--model {args.model} needs --{knob_flag}")
     return tuple(ModelSpec(args.model, k) for k in _parse_grid(raw, args.model))
 
 
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, choices=("tri", "kcycle", "cc"))
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=int, default=4, choices=range(3, 7))
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")

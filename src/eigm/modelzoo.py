@@ -1,17 +1,14 @@
 """Overlap-tunable baseline generators.
 
-Four ways of turning one input graph into an edge-independent model whose
-overlap is controlled by a single knob, all preserving the input's volume:
-
-* linear: convex combination of the adjacency with a uniform matrix of the
-  same volume (knob omega).
-* ccop: convex combination of the adjacency with a degree-matching
-  odds-product fit (knob omega).
-* hdop: odds-product fit with all pairs touching the top-h degree nodes
-  pinned to the adjacency (knob h).
-* tsvd: rank-k truncation of the adjacency (its k eigenpairs of largest
-  |lambda|, which equal its rank-k SVD), shifted and clipped to restore the
-  volume (knob k).
+Four ways of turning one input graph, with adjacency A, into an
+edge-independent model whose overlap one knob controls, all preserving the
+input's volume: linear (omega) blends A with a uniform matrix and ccop
+(omega) with a degree-matching odds-product fit; hdop (h) pins every pair
+touching the top-h degree nodes to A and fits the rest; tsvd (k) is the
+rank-k truncation of A (its k eigenpairs of largest |lambda|, equal to its
+rank-k SVD), shifted and clipped to restore the volume.  linear, ccop and
+hdop write A's entries at its CSR positions and never make A dense; every
+builder refuses an n above the dense cap before any n x n allocation.
 """
 
 from __future__ import annotations
@@ -66,10 +63,11 @@ def linear_model(a: Graph, omega: float) -> ProbMatrix:
     n = a.n
     if n < 2:
         raise ValueError("linear model needs at least 2 nodes")
+    _check_dense_cap(n)
     q = 2.0 * a.m / (n * (n - 1.0))
-    p = omega * to_dense(a).mat
-    p += (1.0 - omega) * q
+    p = np.full((n, n), (1.0 - omega) * q)
     np.fill_diagonal(p, 0.0)
+    p[a._rows(), a.indices] += omega
     return ProbMatrix.from_array(p)
 
 
@@ -80,7 +78,7 @@ def ccop(a: Graph, omega: float) -> ProbMatrix:
     endpoints of the combination have them.
     """
     _, p, _ = fit_odds_product(degrees(a))
-    return convex_combine(p, to_dense(a), omega)
+    return convex_combine(p, a, omega)
 
 
 def hdop(a: Graph, h: int) -> ProbMatrix:
@@ -94,6 +92,7 @@ def hdop(a: Graph, h: int) -> ProbMatrix:
     n = a.n
     if not 0 <= h <= n:
         raise ValueError(f"h must be in [0, n], got {h}")
+    _check_dense_cap(n)
     deg = degrees(a)
     # stable order: degree descending, then node id ascending
     order = np.lexsort((np.arange(n), -deg))
@@ -101,11 +100,10 @@ def hdop(a: Graph, h: int) -> ProbMatrix:
     pinned[order[:h]] = True
     free = np.flatnonzero(~pinned)
 
-    adj = to_dense(a).mat
-    out = np.array(adj)
+    out = np.zeros((n, n))
+    out[a._rows(), a.indices] = 1.0
     if free.size > 0:
-        sub = adj[np.ix_(free, free)]
-        residual_deg = sub.sum(axis=1).astype(np.int64)
+        residual_deg = (deg - a.to_csr() @ pinned.astype(np.int64))[free]
         _, p_sub, _ = fit_odds_product(residual_deg)
         out[np.ix_(free, free)] = p_sub.mat
     return ProbMatrix.from_array(out)
@@ -159,9 +157,9 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     The truncation keeps the k eigenpairs of largest |lambda| (for a
     symmetric A, the rank-k SVD; not unique where |lambda_k| =
     |lambda_(k+1)|), found by ``eigsh`` when 8k <= n and by a dense ``eigh``
-    otherwise.  It is symmetrized, its diagonal zeroed, then shifted by the
-    :func:`fit_volume_shift` scalar and clipped to [0, 1] so the result has
-    volume m within 1e-6 * m.
+    otherwise.  It is symmetrized, shifted by the :func:`fit_volume_shift`
+    scalar (of the strict upper triangle), clipped to [0, 1] and its
+    diagonal zeroed, so the result has volume m within 1e-6 * m.
     """
     n = a.n
     if not 1 <= k <= n:
@@ -176,7 +174,6 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     top = np.argsort(-np.abs(lam), kind="stable")[:k]
     low = (v[:, top] * lam[top]) @ v[:, top].T
     low = 0.5 * (low + low.T)
-    np.fill_diagonal(low, 0.0)
     shift = fit_volume_shift(low, float(a.m))
     p = np.clip(low + shift, 0.0, 1.0)
     np.fill_diagonal(p, 0.0)

@@ -192,17 +192,18 @@ def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:
     return float(p.mat[cyc, np.roll(cyc, -1, axis=-1)].prod(-1).sum())
 
 
-def convex_combine(p: ProbMatrix, a: ProbMatrix, omega: float) -> ProbMatrix:
-    """Entrywise (1 - omega) * P + omega * A.
-
-    ``a`` is normally a binary adjacency matrix; at omega = 1 the result
-    memorizes it.  Volume is linear: (1-omega) * V(P) + omega * V(A).
+def convex_combine(p: ProbMatrix, a: Graph, omega: float) -> ProbMatrix:
+    """Entrywise (1 - omega) * P + omega * A, with omega added at the CSR
+    positions of ``a`` so its adjacency A is never made dense; at omega = 1
+    the result memorizes the graph.  Volume: (1-omega) * V(P) + omega * m.
     """
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must be in [0, 1], got {omega}")
     if p.n != a.n:
         raise ValueError("dimension mismatch")
-    return ProbMatrix.from_array((1.0 - omega) * p.mat + omega * a.mat)
+    out = (1.0 - omega) * p.mat
+    out[a._rows(), a.indices] += omega
+    return ProbMatrix.from_array(out)
 
 
 def save_probmatrix(p: ProbMatrix, path) -> None:

@@ -22,7 +22,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from eigm.graphs import Graph
+from eigm import oddsproduct
+from eigm.graphs import Graph, degrees
 from eigm.oddsproduct import (
     EXCLUDED_LOGIT,
     MAX_ITER,
@@ -380,3 +381,51 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     p = np.clip(low + shift, 0.0, 1.0)
     np.fill_diagonal(p, 0.0)
     return ProbMatrix.from_array(p)
+
+
+def linear_model(a: Graph, omega: float) -> ProbMatrix:
+    """The linear model from the dense adjacency: omega * A, plus
+    (1 - omega) * q with q = 2m / (n(n-1)) on every off-diagonal pair."""
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"omega must be in [0, 1], got {omega}")
+    n = a.n
+    if n < 2:
+        raise ValueError("linear model needs at least 2 nodes")
+    q = 2.0 * a.m / (n * (n - 1.0))
+    p = omega * to_dense(a).mat
+    p += (1.0 - omega) * q
+    np.fill_diagonal(p, 0.0)
+    return ProbMatrix.from_array(p)
+
+
+def convex_combine(p: ProbMatrix, a: Graph, omega: float) -> ProbMatrix:
+    """(1 - omega) * P + omega * A, entrywise over the dense adjacency A."""
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"omega must be in [0, 1], got {omega}")
+    if p.n != a.n:
+        raise ValueError("dimension mismatch")
+    return ProbMatrix.from_array((1.0 - omega) * p.mat + omega * to_dense(a).mat)
+
+
+def hdop(a: Graph, h: int) -> ProbMatrix:
+    """hdop on a dense copy of the adjacency: copy A, then overwrite the
+    block of the unpinned nodes with the odds-product fit to the row sums
+    of that block of A."""
+    n = a.n
+    if not 0 <= h <= n:
+        raise ValueError(f"h must be in [0, n], got {h}")
+    deg = degrees(a)
+    order = np.lexsort((np.arange(n), -deg))
+    pinned = np.zeros(n, dtype=bool)
+    pinned[order[:h]] = True
+    free = np.flatnonzero(~pinned)
+
+    adj = to_dense(a).mat
+    out = np.array(adj)
+    if free.size > 0:
+        sub = adj[np.ix_(free, free)]
+        residual_deg = sub.sum(axis=1).astype(np.int64)
+        # the degree-class fit of eigm, not this module's node-level oracle
+        _, p_sub, _ = oddsproduct.fit_odds_product(residual_deg)
+        out[np.ix_(free, free)] = p_sub.mat
+    return ProbMatrix.from_array(out)

@@ -126,6 +126,8 @@ def test_count_below_one_is_a_usage_error(argv, capsys):
     (["fit", "--input", "g.edges", "--eps", "1e-6"], "eigm"),
     (["fit", "--input", "g.edges", "--max-iter", "100"], "eigm"),
     (["fit", "--input", "g.edges", "--no-damping"], "eigm"),
+    (["verify", "--theorem", "kcycle", "--k", "7"], "eigm verify"),
+    (["verify", "--theorem", "kcycle", "--k", "2"], "eigm verify"),
 ])
 def test_usage_error_is_one_stderr_line(argv, prog, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -313,8 +315,11 @@ def test_sweep_single_model_flags(tmp_path, capsys):
     lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 4
     assert all(line.startswith("tsvd,") for line in lines[1:])
-    rc = main(["sweep", "--model", "hdop", "--input", str(edges)])
-    assert rc == 1  # missing --h
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--model", "hdop", "--input", str(edges)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "eigm sweep: error: --model hdop needs --h\n"
 
 
 def test_sweep_empty_knob_flag_fails_like_empty_config_grid(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,12 +176,23 @@ def test_tsvd_rejects_bad_rank(path3):
         tsvd_model(path3, 4)
 
 
-def test_tsvd_refuses_n_above_the_dense_cap_on_both_solvers():
+def test_every_builder_refuses_n_above_the_dense_cap_before_allocating():
     n = DEFAULT_DENSE_CAP + 1
     g = Graph.from_edges(n, [(0, 1)])
-    for k in (1, n):  # eigsh, eigh
-        with pytest.raises(CapacityError):
-            tsvd_model(g, k)
+    builds = [
+        (linear_model, 0.5), (ccop, 0.5), (hdop, 0), (hdop, 1),
+        (tsvd_model, 1), (tsvd_model, n),  # eigsh, eigh
+    ]
+    for build, knob in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build(g, knob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an n x n float64 matrix would be 800 MB
+        assert peak < 2**20, (build.__name__, knob, peak)
 
 
 def test_volume_preserved_across_zoo(test_graphs):

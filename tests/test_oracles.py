@@ -3,7 +3,9 @@ degree-class odds-product fit equals the node-level Newton fit, the
 once-per-cycle k-cycle count equals the ordered-tuple sum, and the masked
 sampler, text writer, random matrix and volume shift equal their
 index-array oracles, the ``np.loadtxt`` text reader equals the line-by-line
-reader, and the eigenpair tsvd model equals the dense-SVD one."""
+reader, the eigenpair tsvd model equals the dense-SVD one, and the linear,
+convex-combination and hdop builders that write the adjacency at its CSR
+positions equal, bit for bit, their dense-adjacency oracles."""
 
 import importlib.util
 import itertools
@@ -26,10 +28,11 @@ from eigm.graphs import (
     degrees,
     largest_connected_component,
 )
-from eigm.modelzoo import fit_volume_shift, tsvd_model
+from eigm.modelzoo import fit_volume_shift, hdop, linear_model, tsvd_model
 from eigm.oddsproduct import FitConvergenceError, fit_odds_product
 from eigm.probmatrix import (
     ProbMatrix,
+    convex_combine,
     expected_kcycles_exact,
     load_probmatrix,
     sample,
@@ -460,11 +463,16 @@ def test_volume_shift_matches_index_array_oracle(n):
     assert fit_volume_shift(l, target) == oracles.fit_volume_shift(l, target)
 
 
-def test_volume_shift_matches_index_array_oracle_on_bench_reference(monkeypatch):
+def _bench_workloads():
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_volume_shift_matches_index_array_oracle_on_bench_reference(monkeypatch):
+    workloads = _bench_workloads()
     scale = workloads.SCALES["full"]
     g = workloads.powerlaw_reference(scale["powerlaw_draw_n"], scale["powerlaw_n"], 0)
     shifts = []
@@ -478,3 +486,66 @@ def test_volume_shift_matches_index_array_oracle_on_bench_reference(monkeypatch)
     for k in scale["powerlaw_ranks"]:
         tsvd_model(g, k)
     assert len(shifts) == len(scale["powerlaw_ranks"])
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    """Random graphs with up to three isolated nodes appended."""
+    n, edges = draw(raw_edge_lists())
+    return Graph.from_edges(n + draw(st.integers(0, 3)), edges)
+
+
+OMEGAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _assert_same_model(fast, slow, *args):
+    """Bit-identical matrices, or the same exception with the same message."""
+    try:
+        want = slow(*args)
+    except (ValueError, FitConvergenceError) as exc:
+        with pytest.raises(type(exc)) as got:
+            fast(*args)
+        assert str(got.value) == str(exc)
+        return
+    assert np.array_equal(fast(*args).mat, want.mat)
+
+
+@given(graphs_with_isolated_nodes(), OMEGAS)
+@settings(max_examples=150, deadline=None)
+def test_linear_model_matches_dense_oracle(g, omega):
+    _assert_same_model(linear_model, oracles.linear_model, g, omega)
+
+
+@given(graphs_with_isolated_nodes(), OMEGAS, st.integers(0, 2**32),
+       st.floats(0.0, 1.0, exclude_min=True))
+@settings(max_examples=150, deadline=None)
+def test_convex_combine_matches_dense_oracle(g, omega, seed, scale):
+    p = random_probmatrix(g.n, seed, scale)
+    _assert_same_model(convex_combine, oracles.convex_combine, p, g, omega)
+
+
+@st.composite
+def hdop_cases(draw):
+    """A graph and h in {0, n} or drawn from [0, n]."""
+    g = draw(graphs_with_isolated_nodes())
+    return g, draw(st.one_of(st.sampled_from([0, g.n]), st.integers(0, g.n)))
+
+
+@given(hdop_cases())
+@settings(max_examples=150, deadline=None)
+def test_hdop_matches_dense_oracle(case):
+    _assert_same_model(hdop, oracles.hdop, *case)
+
+
+def test_csr_builders_match_dense_oracles_on_bench_references():
+    workloads = _bench_workloads()
+    scale = workloads.SCALES["full"]
+    g = workloads.powerlaw_reference(scale["powerlaw_draw_n"], scale["powerlaw_n"], 0)
+    for h in (0, 64, 125, 256):
+        assert np.array_equal(hdop(g, h).mat, oracles.hdop(g, h).mat)
+    c = clustered_graph(scale["clustered_cliques"], 7, 5e-4, seed=0)
+    _, p, _ = fit_odds_product(degrees(c))
+    for omega in (0.0, 0.25, 0.5, 1.0):
+        assert np.array_equal(linear_model(c, omega).mat, oracles.linear_model(c, omega).mat)
+        assert np.array_equal(convex_combine(p, c, omega).mat,
+                              oracles.convex_combine(p, c, omega).mat)

@@ -244,25 +244,25 @@ def test_overlap_bounded_by_support(p):
 def test_convex_combine(triangle):
     a = to_dense(triangle)
     base = er_construction(3, 0.25)
-    assert convex_combine(base, a, 0.0) == base
-    both = convex_combine(base, a, 1.0)
+    assert convex_combine(base, triangle, 0.0) == base
+    both = convex_combine(base, triangle, 1.0)
     assert both == a
     assert overlap(both) == 1.0
     zero = ProbMatrix.from_array(np.zeros((3, 3)))
-    half = convex_combine(zero, a, 0.5)
+    half = convex_combine(zero, triangle, 0.5)
     assert half.mat[0, 1] == 0.5
     assert volume(half) == pytest.approx(0.5 * volume(a))
     with pytest.raises(ValueError):
-        convex_combine(base, a, 1.5)
+        convex_combine(base, triangle, 1.5)
     with pytest.raises(ValueError):
-        convex_combine(er_construction(4, 0.5), a, 0.5)
+        convex_combine(er_construction(4, 0.5), triangle, 0.5)
 
 
 def test_volume_linearity_under_combination(triangle):
     a = to_dense(triangle)
     p = er_construction(3, 0.2)
     for omega in (0.0, 0.3, 0.7, 1.0):
-        combined = convex_combine(p, a, omega)
+        combined = convex_combine(p, triangle, omega)
         assert volume(combined) == pytest.approx(
             (1 - omega) * volume(p) + omega * volume(a)
         )
