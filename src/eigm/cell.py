@@ -107,7 +107,7 @@ def _row_polynomial_values(
     w = np.empty(d)
     for k in range(d):
         diff = neighbor_pos[k] - np.delete(neighbor_pos, k)
-        w[k] = 1.0 / float(np.prod(diff)) if d > 1 else 1.0
+        w[k] = 1.0 / float(np.prod(diff))
     vals = np.ones_like(positions)
     for j in range(d):
         vals = vals * ((positions - neighbor_pos[j]) ** 2 - (eps * w[j]) ** 2)
@@ -164,5 +164,5 @@ def verify_embedding(a: Graph, w: LogitMatrix | np.ndarray) -> tuple[float, int]
     target = unconstrained_optimum(a)
     max_error = float(np.abs(rowwise_softmax(mat) - target).max())
     svals = np.linalg.svd(mat, compute_uv=False)
-    numerical_rank = int((svals > 1e-8 * svals[0]).sum()) if svals[0] > 0 else 0
+    numerical_rank = int((svals > 1e-8 * svals[0]).sum())
     return max_error, numerical_rank

@@ -110,7 +110,7 @@ def hdop(a: Graph, h: int) -> ProbMatrix:
 
 
 def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
-    """Scalar shift s with sum of clip(L + s, 0, 1) over pairs = target.
+    """Scalar shift s with f(s) = sum of clip(L + s, 0, 1) over pairs = target.
 
     The root is found to within 1e-9 * target.  f(s) is continuous,
     nondecreasing, and piecewise linear with kinks at the clip boundaries,
@@ -127,22 +127,19 @@ def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
             f"target volume {target_volume} not attainable in (0, {npairs}]"
         )
 
-    def f(s: float) -> float:
-        return float(np.clip(vals + s, 0.0, 1.0).sum())
-
     tol = 1e-9 * target_volume
     s = 0.0
     lo = float(-vals.max())          # f(lo) == 0
     hi = float(1.0 - vals.min())     # f(hi) == npairs
     for _ in range(200):
-        err = f(s) - target_volume
+        shifted = vals + s
+        err = float(np.clip(shifted, 0.0, 1.0).sum()) - target_volume
         if abs(err) <= tol:
             return s
         if err > 0:
             hi = min(hi, s)
         else:
             lo = max(lo, s)
-        shifted = vals + s
         slope = float(np.count_nonzero((shifted > 0.0) & (shifted < 1.0)))
         if slope > 0 and lo < s - err / slope < hi:
             s = s - err / slope
@@ -173,11 +170,12 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
         lam, v = np.linalg.eigh(to_dense(a).mat)
     top = np.argsort(-np.abs(lam), kind="stable")[:k]
     low = (v[:, top] * lam[top]) @ v[:, top].T
-    low = 0.5 * (low + low.T)
-    shift = fit_volume_shift(low, float(a.m))
-    p = np.clip(low + shift, 0.0, 1.0)
-    np.fill_diagonal(p, 0.0)
-    return ProbMatrix.from_array(p)
+    low += low.T
+    low *= 0.5
+    low += fit_volume_shift(low, float(a.m))
+    np.clip(low, 0.0, 1.0, out=low)
+    np.fill_diagonal(low, 0.0)
+    return ProbMatrix.from_array(low)
 
 
 def build_model(a: Graph, spec: ModelSpec) -> ProbMatrix:

@@ -60,7 +60,8 @@ class FitConvergenceError(RuntimeError):
 
 
 def _prob_from_logits(logits: np.ndarray) -> np.ndarray:
-    p = expit(np.add.outer(logits, logits))
+    p = np.add.outer(logits, logits)
+    expit(p, out=p)
     np.fill_diagonal(p, 0.0)
     return p
 
@@ -139,11 +140,6 @@ def fit_odds_product(
 
     active = np.flatnonzero(d > 0)
     logits = np.full(n, EXCLUDED_LOGIT, dtype=np.float64)
-
-    if active.size == 0:
-        report = FitReport(0, [0.0], True, 0.0)
-        return logits, ProbMatrix.from_array(np.zeros((n, n))), report
-
     dc, cls, cnt = np.unique(d[active], return_inverse=True, return_counts=True)
     cnt = cnt.astype(np.float64)
     ell = np.zeros(dc.size)

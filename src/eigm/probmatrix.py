@@ -69,17 +69,22 @@ class ProbMatrix:
 
         Entries must lie in [0, 1] up to 1e-9 slack (they are clipped);
         asymmetry is an error; a nonzero diagonal is zeroed with a warning.
+
+        A writeable float64 array that owns its data is taken over, not
+        copied: it is validated and clipped in place and made read-only.
+        Pass a copy to keep your array writeable.  Any other input (a list,
+        another dtype, a read-only array, a view, a subclass) is copied first.
         """
-        a = np.array(arr, dtype=np.float64)
+        a = np.require(arr, np.float64, ["W", "O", "E"])
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("probability matrix must be square")
         if a.shape[0] == 0:
             raise ValueError("probability matrix must be nonempty")
-        if not np.all(np.isfinite(a)):
+        lo, hi = a.min(), a.max()  # NaN or inf reaches one of the two
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("probability matrix entries must be finite (no NaN or inf)")
         if not np.array_equal(a, a.T):
             raise ValueError("probability matrix must be symmetric")
-        lo, hi = a.min(), a.max()
         if lo < -_RANGE_SLACK or hi > 1.0 + _RANGE_SLACK:
             raise ValueError(f"entries outside [0, 1]: min={lo}, max={hi}")
         np.clip(a, 0.0, 1.0, out=a)
@@ -105,9 +110,7 @@ class ProbMatrix:
 def to_dense(g: Graph) -> ProbMatrix:
     """Binary probability matrix of a graph; a model that memorizes it."""
     _check_dense_cap(g.n)
-    a = g.to_csr(np.float64).toarray()
-    a.flags.writeable = False
-    return ProbMatrix(mat=a)
+    return ProbMatrix.from_array(g.to_csr(np.float64).toarray())
 
 
 def volume(p: ProbMatrix) -> float:

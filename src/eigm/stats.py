@@ -192,10 +192,7 @@ def fit_power_law(d: np.ndarray) -> PowerLawFit | None:
     qualifies (e.g. all degrees equal).
     """
     vals = np.asarray(d, dtype=np.float64)
-    vals = vals[vals > 0]
-    if vals.size < _MIN_TAIL:
-        return None
-    vals = np.sort(vals)
+    vals = np.sort(vals[vals > 0])
     best: PowerLawFit | None = None
     for x_min in np.unique(vals):
         tail = vals[vals >= x_min]
@@ -297,11 +294,7 @@ def compare(reference: Graph, generated: Graph) -> StatsRecord:
     t_ref, _ = triangle_counts(reference)
     t_gen, total_gen = triangle_counts(generated)  # counted once, reused below
 
-    if generated.m > 0:
-        lcc, _ = largest_connected_component(generated)
-        cpl = char_path_length(lcc)
-    else:
-        cpl = float("nan")
+    lcc, _ = largest_connected_component(generated)
 
     return StatsRecord(
         degree_pearson=_pearson(d_ref, d_gen),
@@ -311,5 +304,5 @@ def compare(reference: Graph, generated: Graph) -> StatsRecord:
         triangle_pearson=_pearson(t_ref, t_gen),
         triangle_count=int(total_gen),
         clustering_coeff=_clustering(d_gen, total_gen),
-        char_path_length=cpl,
+        char_path_length=char_path_length(lcc),
     )

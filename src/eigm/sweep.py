@@ -103,10 +103,12 @@ GLOBAL_KEYS = {
 }
 
 
-def _reject_unknown_keys(section, known, where: str) -> None:
-    for key in section:
+def _check_keys(section, known, where: str) -> None:
+    for key, value in section.items():
         if key not in known:
             raise ValueError(f"unknown key '{key}' {where}")
+        if "\n" in value:  # an indented line continues the value above it
+            raise ValueError(f"value of '{key}' {where} spans two lines")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -119,7 +121,13 @@ def parse_config(text: str) -> ExperimentConfig:
     key, and a line that is neither a section header nor ``key = value``
     raise ValueError.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    cp = configparser.ConfigParser(
+        delimiters=("=",),
+        comment_prefixes=("#",),
+        inline_comment_prefixes=("#",),
+        interpolation=None,
+    )
+    cp.optionxform = str  # keys are case-sensitive
     try:
         cp.read_string("[__global__]\n" + text, source="config")
     except configparser.Error as exc:
@@ -129,7 +137,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if cp.defaults():  # configparser would copy these keys into every section
         raise ValueError("unknown model section [DEFAULT]")
     g = cp["__global__"]
-    _reject_unknown_keys(g, GLOBAL_KEYS, "in the global section")
+    _check_keys(g, GLOBAL_KEYS, "in the global section")
     values = {key: getattr(g, GLOBAL_KEYS[key])(key) for key in g}
     specs: list[ModelSpec] = []
     for kind in cp.sections()[1:]:  # [__global__] is the first section
@@ -139,7 +147,7 @@ def parse_config(text: str) -> ExperimentConfig:
         knob_key = KNOB_KEYS[kind]
         if knob_key not in section:
             raise ValueError(f"section [{kind}] missing knob key '{knob_key}'")
-        _reject_unknown_keys(section, (knob_key,), f"in section [{kind}]")
+        _check_keys(section, (knob_key,), f"in section [{kind}]")
         for knob in _parse_grid(section[knob_key], kind):
             specs.append(ModelSpec(kind=kind, knob=knob))
     return ExperimentConfig(tuple(specs), **values)

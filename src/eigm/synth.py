@@ -26,7 +26,7 @@ def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
     a = np.zeros((n, n))
     a[upper] = vals
     a.T[upper] = vals
-    del vals, upper  # from_array copies a: free the rest first
+    del vals, upper  # free the draws before from_array validates a in place
     return ProbMatrix.from_array(a)
 
 

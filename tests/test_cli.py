@@ -1,11 +1,15 @@
 import csv
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigm.cli
 from eigm.cli import build_parser, main
 from eigm.graphs import parse_edge_list
 from eigm.probmatrix import load_probmatrix
@@ -403,3 +407,14 @@ def test_ingest_idmap_maps_lcc_to_original_ids(tmp_path):
     assert idmap == ["dense_index,original_id", "0,7", "1,25", "2,40", "3,90"]
     g, _ = parse_edge_list((tmp_path / "gappy_normalized.edges").read_text())
     assert g.edge_array().tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
+
+
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # every eigm command pays for the modules `import eigm.cli` loads, and
+    # scipy.spatial is a large import that no eigm code path needs
+    code = "import sys, eigm.cli; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
+    env = {**os.environ, "PYTHONPATH": str(Path(eigm.cli.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -14,7 +14,9 @@ from eigm.modelzoo import (
     linear_model,
     tsvd_model,
 )
+from eigm.oddsproduct import fit_odds_product
 from eigm.probmatrix import DEFAULT_DENSE_CAP, CapacityError, overlap, to_dense, volume
+from eigm.synth import clustered_graph
 
 from conftest import complete_graph, random_connected_graph
 
@@ -193,6 +195,25 @@ def test_every_builder_refuses_n_above_the_dense_cap_before_allocating():
             tracemalloc.stop()
         # an n x n float64 matrix would be 800 MB
         assert peak < 2**20, (build.__name__, knob, peak)
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda g: linear_model(g, 0.5), 1.3),
+    (lambda g: fit_odds_product(degrees(g))[1], 1.3),
+    (lambda g: ccop(g, 0.5), 2.3),
+    (lambda g: hdop(g, 0), 2.3),
+    (lambda g: tsvd_model(g, 32), 2.75),  # eigsh
+], ids=["linear", "fit", "ccop", "hdop", "tsvd"])
+def test_builds_peak_at_few_n_by_n_arrays(build, bound):
+    # each P is built in the array that becomes its ProbMatrix, with no copy
+    g = clustered_graph(86, 7, 5e-4, seed=0)  # n = 602
+    tracemalloc.start()
+    try:
+        build(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * g.n**2
 
 
 def test_volume_preserved_across_zoo(test_graphs):

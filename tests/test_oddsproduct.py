@@ -6,6 +6,7 @@ from eigm.graphs import degrees
 from eigm.oddsproduct import (
     EXCLUDED_LOGIT,
     FitConvergenceError,
+    FitReport,
     degree_jacobian,
     fit_odds_product,
     predicted_degrees,
@@ -100,8 +101,9 @@ def test_fit_zero_degree_nodes_reinserted():
 
 def test_fit_all_zero_degrees():
     logits, p, report = fit_odds_product(np.zeros(3, dtype=int))
-    assert report.converged
-    assert p.mat.sum() == 0.0
+    assert logits.tolist() == [EXCLUDED_LOGIT] * 3
+    assert p.mat.tolist() == np.zeros((3, 3)).tolist()
+    assert report == FitReport(0, [0.0], True, 0.0, ridge_used=False)
 
 
 def test_fit_refuses_n_above_the_dense_cap():

@@ -89,9 +89,55 @@ def test_constructor_validation():
 
 def test_constructor_names_non_finite_entries():
     # NaN != NaN, so a symmetry test alone would misreport this matrix
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="entries must be finite"):
             ProbMatrix.from_array([[0.0, bad], [bad, 0.0]])
+
+
+def test_from_array_takes_over_an_owned_writeable_float64_array():
+    a = np.array([[0.0, 0.5], [0.5, 0.0]])
+    p = ProbMatrix.from_array(a)
+    assert np.shares_memory(p.mat, a)
+    assert not p.mat.flags.writeable
+
+
+# each input has a nonzero diagonal, and each float input an entry 1e-12
+# above 1: from_array zeroes and clips these in the array it keeps
+_OVER = 1.0 + 1e-12
+_FLOATS = [[0.5, _OVER], [_OVER, 0.0]]
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+def _owned_subclass():
+    a = _Sub((2, 2))
+    a[...] = _FLOATS
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _read_only(np.array(_FLOATS)),
+    lambda: np.array([[0.5, _OVER, 9.0], [_OVER, 0.0, 9.0]])[:, :2],
+    lambda: _FLOATS,
+    lambda: np.array([[1, 1], [1, 0]]),
+    _owned_subclass,
+], ids=["read-only", "view", "list", "int", "subclass"])
+def test_from_array_copies_any_other_input(make):
+    arr = make()
+    before = np.array(arr, dtype=np.float64)
+    with pytest.warns(UserWarning, match="nonzero diagonal"):
+        p = ProbMatrix.from_array(arr)
+    assert not np.shares_memory(p.mat, arr)
+    assert np.array_equal(np.asarray(arr), before)
+    assert type(p.mat) is np.ndarray
+    assert np.array_equal(p.mat, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_to_dense_examples(triangle):

@@ -222,6 +222,8 @@ def test_stats_record_csv(k4_minus_edge):
     # undefined stats serialize as the literal "nan"
     empty_rec = compare(k4_minus_edge, Graph.from_edges(4, []))
     assert "nan" in empty_rec.to_csv_row().split(",")
+    assert math.isnan(empty_rec.char_path_length)
+    assert empty_rec.triangle_count == 0
 
 
 def test_stats_record_rejects_out_of_range():

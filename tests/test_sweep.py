@@ -71,10 +71,26 @@ def test_parse_config_rejects_unknown_section():
     ("workers = 2\n[linear]\nomega = 1\n", "workers", "the global section"),
     ("[tsvd]\nrank = 1\nepss = 1e-9\n", "epss", "section [tsvd]"),
     ("[ccop]\nomega = 1\neps = 1e-6\n", "eps", "section [ccop]"),
+    ("Samples = 3\n[linear]\nomega = 1\n", "Samples", "the global section"),
+    ("[linear]\nomega = 1\nOMEGA = 0.5\n", "OMEGA", "section [linear]"),
 ])
 def test_parse_config_rejects_unknown_keys(text, key, where):
     with pytest.raises(ValueError, match=rf"^unknown key '{key}' in {re.escape(where)}$"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("samples: 3\n[linear]\nomega = 1\n", "[line 1]: 'samples: 3\\n'"),
+    ("; comment\n[linear]\nomega = 1\n", "[line 1]: '; comment\\n'"),
+    ("[linear]\nOMEGA = 0.5\n", "section [linear] missing knob key 'omega'"),
+    ("[linear]\nomega = 0.5\n   0.75\n", "value of 'omega' in section [linear] spans two lines"),
+    ("samples = 3\n  4\n[linear]\nomega = 1\n",
+     "value of 'samples' in the global section spans two lines"),
+])
+def test_parse_config_rejects_lines_outside_the_format(text, message):
+    with pytest.raises(ValueError, match=rf"{re.escape(message)}$") as info:
+        parse_config(text)
+    assert "\n" not in str(info.value)
 
 
 def test_experiment_config_validation():

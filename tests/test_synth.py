@@ -34,7 +34,7 @@ def test_bounded_degree_graph_dmax_one():
 
 
 def test_random_probmatrix_peak_memory():
-    # the result, one copy inside from_array and n x n boolean masks
+    # the result, the draws and an n x n boolean mask; from_array makes no copy
     n = 1000
     random_probmatrix(4, seed=0)
     tracemalloc.start()
