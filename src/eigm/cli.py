@@ -174,6 +174,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, theorem, default in (("gamma", "cc", 0.1), ("k", "kcycle", 4)):
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.theorem != theorem:
+            args.usage_error(f"argument --{flag}: applies only with --theorem {theorem}")
     if args.theorem == "cc":
         reports = [
             check_cc_tightness(args.n, args.gamma, samples=args.trials, seed=args.seed)
@@ -272,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the subgraph-density bounds")
     p.add_argument("--theorem", required=True, choices=("tri", "kcycle", "cc"))
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=4, choices=range(3, 7))
+    p.add_argument("--gamma", type=float, help="cc only (default 0.1)")
+    p.add_argument("--k", type=int, choices=range(3, 7), help="kcycle only (default 4)")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("cell-verify", help="check the low-rank softmax embedding")
     p.add_argument("--n", type=int, default=12)

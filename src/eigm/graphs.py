@@ -67,7 +67,7 @@ class Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         e = e[e[:, 0] != e[:, 1]]
         keys = np.unique(e.min(axis=1) * np.int64(n) + e.max(axis=1))
-        g = cls.from_pairs(n, keys // n, keys % n)
+        g = cls.from_pairs(n, *np.divmod(keys, n))
         g.validate()
         return g
 
@@ -222,11 +222,9 @@ def serialize_edge_list(g: Graph) -> str:
     registers the id but drops the loop, so round-tripping reproduces the
     full node set of any graph.
     """
-    pairs = [(int(u), int(v)) for u, v in g.edge_array()]
-    deg = degrees(g)
-    pairs += [(i, i) for i in range(g.n) if deg[i] == 0]
-    lines = [f"# n={g.n} m={g.m}"]
-    lines += [f"{u} {v}" for u, v in sorted(pairs)]
+    loops = np.flatnonzero(degrees(g) == 0) * (g.n + 1)  # key of the line "i i"
+    u, v = np.divmod(np.sort(np.concatenate([g.edge_keys(), loops])), g.n)
+    lines = [f"# n={g.n} m={g.m}", *map("{} {}".format, u.tolist(), v.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,7 @@ from scipy.sparse.linalg import eigsh
 
 from .graphs import Graph, degrees
 from .oddsproduct import fit_odds_product
-from .probmatrix import ProbMatrix, _check_dense_cap, convex_combine, to_dense
+from .probmatrix import ProbMatrix, _check_dense_cap, convex_combine
 
 __all__ = [
     "ModelSpec",
@@ -119,8 +119,7 @@ def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
     attained as a boundary root.
     """
     l = np.asarray(l, dtype=np.float64)
-    n = l.shape[0]
-    vals = l[np.triu(np.ones((n, n), bool), 1)]
+    vals = l[~np.tri(len(l), dtype=bool)]
     npairs = vals.size
     if not 0.0 < target_volume <= npairs:
         raise ValueError(
@@ -163,13 +162,14 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
         raise ValueError(f"rank must be in [1, n], got {k}")
     if a.m == 0:
         raise ValueError("tsvd model undefined for an empty graph")
+    _check_dense_cap(n)
     if 8 * k <= n:
-        _check_dense_cap(n)
         lam, v = eigsh(a.to_csr(np.float64), k=k, which="LM", v0=np.ones(n))
     else:
-        lam, v = np.linalg.eigh(to_dense(a).mat)
+        lam, v = np.linalg.eigh(a.to_csr(np.float64).toarray())
     top = np.argsort(-np.abs(lam), kind="stable")[:k]
-    low = (v[:, top] * lam[top]) @ v[:, top].T
+    lam, v = lam[top], v[:, top]  # frees eigh's n x n eigenvectors before the product
+    low = (v * lam) @ v.T
     low += low.T
     low *= 0.5
     low += fit_volume_shift(low, float(a.m))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bounds import er_construction
 from .graphs import Graph
-from .probmatrix import ProbMatrix, _check_dense_cap
+from .probmatrix import ProbMatrix, _check_dense_cap, sample
 from .rng import make_rng
 
 __all__ = [
@@ -20,13 +21,10 @@ def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
     _check_dense_cap(n)
-    vals = make_rng(seed).random(n * (n - 1) // 2)
-    vals *= scale
-    upper = np.triu(np.ones((n, n), bool), 1)
+    upper = ~np.tri(n, dtype=bool)
     a = np.zeros((n, n))
-    a[upper] = vals
-    a.T[upper] = vals
-    del vals, upper  # free the draws before from_array validates a in place
+    a[upper] = make_rng(seed).random(n * (n - 1) // 2) * scale
+    a.T[upper] = a[upper]
     return ProbMatrix.from_array(a)
 
 
@@ -97,21 +95,19 @@ def clustered_graph(n_cliques: int, clique_size: int, bridge_prob: float, seed: 
 
     A stand-in for social-network structure in demos and trend tests, where
     uniform random graphs are too triangle-poor to show the overlap trade-off.
+    The bridges are one :func:`sample` of the uniform ``bridge_prob`` matrix.
     """
     if n_cliques < 1 or clique_size < 2:
         raise ValueError("need n_cliques >= 1 and clique_size >= 2")
-    rng = make_rng(seed)
+    if not 0.0 < bridge_prob <= 1.0:
+        raise ValueError(f"bridge_prob must be in (0, 1], got {bridge_prob}")
     n = n_cliques * clique_size
-    edges = set()
-    for c in range(n_cliques):
-        base = c * clique_size
-        for i in range(clique_size):
-            for j in range(i + 1, clique_size):
-                edges.add((base + i, base + j))
-        if c > 0:  # chain bridge keeps the graph connected
-            edges.add(((c - 1) * clique_size, base))
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(len(iu)) < bridge_prob
-    for u, v in zip(iu[keep], ju[keep]):
-        edges.add((int(u), int(v)))
-    return Graph.from_edges(n, edges)
+    _check_dense_cap(n)
+    first = np.arange(0, n, clique_size, dtype=np.int64)[:, None]
+    iu, ju = np.triu_indices(clique_size, 1)
+    keys = np.concatenate([
+        ((first + iu) * n + first + ju).ravel(),  # clique edges
+        (first[:-1] * n + first[1:]).ravel(),  # chain edges keep the graph connected
+        sample(er_construction(n, bridge_prob), seed).edge_keys(),
+    ])
+    return Graph.from_pairs(n, *np.divmod(np.unique(keys), n))

@@ -1,17 +1,18 @@
 """Slow, loop-based reference implementations of the graph and statistics
-kernels, the node-level odds-product fit, the exact k-cycle count and the
-text-format reader, index-array statements of the sampler, the text
-writer, the random probability matrix and the volume shift, and the
+kernels, the node-level odds-product fit, the exact k-cycle count, the
+text-format reader, the edge-list writer, the clustered graph and the
+pairwise empirical overlap, index-array statements of the sampler, the
+text writer, the random probability matrix and the volume shift, and the
 dense-SVD tsvd model.
 
 ``eigm`` computes these quantities with ``scipy.sparse``/``csgraph``
 primitives, fits the odds-product model on degree classes, lists each
 k-cycle once, parses the text format with ``np.loadtxt``, walks the
-upper triangle through boolean masks and builds tsvd from the top-k
-symmetric eigenpairs.  The functions here state the
-definitions directly, one node, edge, tuple, line or explicit (i, j) pair
-at a time, and serve as oracles for the property tests in
-``test_oracles.py``.
+upper triangle through boolean masks, keys each node pair u < v as
+u * n + v to sort, count and write pairs, and builds tsvd from the top-k
+symmetric eigenpairs.  The functions here state the definitions
+directly, one node, edge, tuple, line or explicit (i, j) pair at a time,
+and serve as oracles for the property tests in ``test_oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from eigm.oddsproduct import (
     _prob_from_logits,
     _solve_step,
 )
-from eigm.probmatrix import ProbMatrix, _check_dense_cap, to_dense
+from eigm.probmatrix import ProbMatrix, ZeroVolumeError, _check_dense_cap, to_dense, volume
 from eigm.rng import make_rng
 
 
@@ -142,6 +143,17 @@ def from_edges(n: int, edges) -> Graph:
     g = Graph(n=n, indptr=indptr, indices=indices, m=len(pairs))
     validate(g)
     return g
+
+
+def serialize_edge_list(g: Graph) -> str:
+    """Collect the edges and a self-loop (i, i) for each isolated node as
+    tuples, sort them, and write the header and one "u v" line per tuple."""
+    pairs = [(int(u), int(v)) for u, v in g.edge_array()]
+    deg = degrees(g)
+    pairs += [(i, i) for i in range(g.n) if deg[i] == 0]
+    lines = [f"# n={g.n} m={g.m}"]
+    lines += [f"{u} {v}" for u, v in sorted(pairs)]
+    return "\n".join(lines) + "\n"
 
 
 def validate(g: Graph) -> None:
@@ -275,6 +287,42 @@ def sample(p: ProbMatrix, seed: int) -> Graph:
     iu, ju = np.triu_indices(p.n, 1)
     keep = make_rng(seed).random(len(iu)) < p.mat[iu, ju]
     return Graph.from_pairs(p.n, iu[keep], ju[keep])
+
+
+def empirical_overlap(p: ProbMatrix, samples: list[Graph]) -> float:
+    """Intersect the edge keys of every pair of samples and average the
+    shared fractions of the volume over the pairs; NaN below two samples."""
+    vol = volume(p)
+    if vol <= 0.0:
+        raise ZeroVolumeError("empirical overlap undefined: volume is zero")
+    if len(samples) < 2:
+        return float("nan")
+    pairs = list(itertools.combinations([g.edge_keys() for g in samples], 2))
+    acc = 0.0
+    for k1, k2 in pairs:
+        acc += len(np.intersect1d(k1, k2, assume_unique=True)) / vol
+    return acc / len(pairs)
+
+
+def clustered_graph(n_cliques: int, clique_size: int, bridge_prob: float, seed: int) -> Graph:
+    """Collect the clique edges, the chain edge from each clique's first node
+    to the previous clique's first node, and every upper-triangle pair whose
+    draw from the Philox stream of ``seed`` is below ``bridge_prob``, in a set."""
+    rng = make_rng(seed)
+    n = n_cliques * clique_size
+    edges = set()
+    for c in range(n_cliques):
+        base = c * clique_size
+        for i in range(clique_size):
+            for j in range(i + 1, clique_size):
+                edges.add((base + i, base + j))
+        if c > 0:
+            edges.add(((c - 1) * clique_size, base))
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < bridge_prob
+    for u, v in zip(iu[keep], ju[keep]):
+        edges.add((int(u), int(v)))
+    return Graph.from_edges(n, edges)
 
 
 def probmatrix_text(p: ProbMatrix) -> str:

@@ -157,6 +157,29 @@ def test_sweep_flag_that_would_be_ignored_is_a_usage_error(argv, message, capsys
     assert capsys.readouterr().err == f"eigm sweep: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--theorem", "tri", "--gamma", "0.2"], "argument --gamma: applies only with --theorem cc"),
+    (["--theorem", "kcycle", "--gamma", "0.2"],
+     "argument --gamma: applies only with --theorem cc"),
+    (["--theorem", "cc", "--k", "5"], "argument --k: applies only with --theorem kcycle"),
+    (["--theorem", "tri", "--k", "4"], "argument --k: applies only with --theorem kcycle"),
+])
+def test_verify_flag_that_would_be_ignored_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"eigm verify: error: {message}\n"
+
+
+def test_verify_defaults_apply_when_the_flags_are_omitted(tmp_path):
+    for theorem, flag, default in (("cc", "--gamma", "0.1"), ("kcycle", "--k", "4")):
+        common = ["verify", "--theorem", theorem, "--n", "60", "--trials", "3"]
+        outs = [tmp_path / f"{theorem}{i}.csv" for i in range(2)]
+        assert main([*common, "--output", str(outs[0])]) == 0
+        assert main([*common, flag, default, "--output", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_readme_cli_lines_parse():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     lines = [

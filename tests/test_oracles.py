@@ -1,11 +1,13 @@
 """Property tests: the sparse/vectorized kernels equal the loop oracles, the
 degree-class odds-product fit equals the node-level Newton fit, the
-once-per-cycle k-cycle count equals the ordered-tuple sum, and the masked
+once-per-cycle k-cycle count equals the ordered-tuple sum, the masked
 sampler, text writer, random matrix and volume shift equal their
-index-array oracles, the ``np.loadtxt`` text reader equals the line-by-line
-reader, the eigenpair tsvd model equals the dense-SVD one, and the linear,
-convex-combination and hdop builders that write the adjacency at its CSR
-positions equal, bit for bit, their dense-adjacency oracles."""
+index-array oracles, the keyed clustered graph, empirical overlap and
+edge-list writer equal their loop, pairwise and tuple-sort oracles, the
+``np.loadtxt`` text reader equals the line-by-line reader, the eigenpair
+tsvd model equals the dense-SVD one, and the linear, convex-combination
+and hdop builders that write the adjacency at its CSR positions equal,
+bit for bit, their dense-adjacency oracles."""
 
 import importlib.util
 import itertools
@@ -27,12 +29,15 @@ from eigm.graphs import (
     connected_components,
     degrees,
     largest_connected_component,
+    serialize_edge_list,
 )
 from eigm.modelzoo import fit_volume_shift, hdop, linear_model, tsvd_model
 from eigm.oddsproduct import FitConvergenceError, fit_odds_product
 from eigm.probmatrix import (
     ProbMatrix,
+    ZeroVolumeError,
     convex_combine,
+    empirical_overlap,
     expected_kcycles_exact,
     load_probmatrix,
     sample,
@@ -334,6 +339,41 @@ def test_sample_matches_index_array_oracle(case):
     assert sample(p, seed) == oracles.sample(p, seed)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sample_matches_index_array_oracle_at_tiny_n(n):
+    for seed in range(50):
+        p = oracles.random_probmatrix(n, seed)
+        assert sample(p, seed) == oracles.sample(p, seed)
+
+
+@given(sampler_cases(), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_empirical_overlap_matches_pairwise_oracle(case, k):
+    p, seed = case
+    drawn = [sample(p, seed ^ t) for t in range(k)]
+    if volume(p) == 0.0:
+        for overlap_of in (empirical_overlap, oracles.empirical_overlap):
+            with pytest.raises(ZeroVolumeError):
+                overlap_of(p, drawn)
+        return
+    got, want = empirical_overlap(p, drawn), oracles.empirical_overlap(p, drawn)
+    if k < 2:
+        assert math.isnan(got) and math.isnan(want)
+    elif k == 2:
+        assert got == want
+    else:  # the pairwise oracle rounds once per pair
+        assert math.isclose(got, want, rel_tol=1e-14)
+
+
+@given(st.integers(1, 30), st.integers(2, 9),
+       st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_clustered_graph_matches_loop_oracle(n_cliques, clique_size, bridge_prob, seed):
+    want = oracles.clustered_graph(n_cliques, clique_size, bridge_prob, seed)
+    _assert_same_graph(clustered_graph(n_cliques, clique_size, bridge_prob, seed), want)
+
+
 @given(sampler_cases())
 @settings(max_examples=100, deadline=None)
 def test_save_probmatrix_matches_text_oracle(case):
@@ -522,6 +562,12 @@ def test_linear_model_matches_dense_oracle(g, omega):
 def test_convex_combine_matches_dense_oracle(g, omega, seed, scale):
     p = random_probmatrix(g.n, seed, scale)
     _assert_same_model(convex_combine, oracles.convex_combine, p, g, omega)
+
+
+@given(graphs_with_isolated_nodes())
+@settings(max_examples=150, deadline=None)
+def test_serialize_edge_list_matches_tuple_sort_oracle(g):
+    assert serialize_edge_list(g) == oracles.serialize_edge_list(g)
 
 
 @st.composite

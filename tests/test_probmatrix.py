@@ -207,7 +207,7 @@ def test_empirical_overlap_nan_below_two_samples(triangle):
     assert math.isnan(empirical_overlap(p, [sample(p, 0)]))
 
 
-@given(prob_matrices(max_n=12), st.integers(3, 6), st.integers(0, 2**32 - 1))
+@given(prob_matrices(max_n=12), st.integers(2, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_empirical_overlap_is_mean_shared_fraction_over_pairs(p, k, seed):
     drawn = [sample(p, seed + t) for t in range(k)]
@@ -215,7 +215,8 @@ def test_empirical_overlap_is_mean_shared_fraction_over_pairs(p, k, seed):
     edge_sets = [set(map(tuple, g.edge_array().tolist())) for g in drawn]
     pairs = list(itertools.combinations(edge_sets, 2))
     expect = sum(len(a & b) / vol for a, b in pairs) / len(pairs)
-    assert empirical_overlap(p, drawn) == expect
+    # one count of the shared edges rounds once, the sum over pairs once per pair
+    assert math.isclose(empirical_overlap(p, drawn), expect, rel_tol=0 if k == 2 else 1e-14)
 
 
 def test_expected_triangles_examples(triangle):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,12 @@ from eigm.bounds import er_construction
 from eigm.cli import main
 from eigm.graphs import degrees
 from eigm.probmatrix import CapacityError
-from eigm.synth import random_bounded_degree_graph, random_probmatrix
+from eigm.synth import (
+    clustered_graph,
+    powerlaw_configuration_graph,
+    random_bounded_degree_graph,
+    random_probmatrix,
+)
 
 
 @given(st.integers(2, 30), st.integers(2, 5), st.integers(0, 2**32))
@@ -52,6 +58,7 @@ def test_random_probmatrix_peak_memory():
         lambda n: random_probmatrix(n, seed=0),
         lambda n: er_construction(n, 0.1),
         lambda n: random_bounded_degree_graph(n, 3, seed=0),
+        lambda n: clustered_graph(n // 7, 7, 0.1, seed=0),
     ],
 )
 def test_generators_refuse_huge_n_before_allocating(build):
@@ -84,3 +91,35 @@ def test_cell_verify_max_degree_two(capsys):
     assert main(["cell-verify", "--max-degree", "2", "--seed", "0"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 5 and all(int(r.split(",")[1]) <= 2 for r in rows)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, 4, 0.0, 0), r"bridge_prob must be in \(0, 1\], got 0.0"),
+    ((3, 4, -0.5, 0), r"bridge_prob must be in \(0, 1\], got -0.5"),
+    ((3, 4, 1.5, 0), r"bridge_prob must be in \(0, 1\], got 1.5"),
+    ((3, 4, float("nan"), 0), r"bridge_prob must be in \(0, 1\], got nan"),
+    ((0, 4, 0.1, 0), "need n_cliques >= 1 and clique_size >= 2"),
+    ((3, 1, 0.1, 0), "need n_cliques >= 1 and clique_size >= 2"),
+    ((1429, 7, 0.1, 0), "n=10003 exceeds dense-matrix cap 10000"),
+])
+def test_clustered_graph_refuses_bad_arguments_in_one_line(args, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        clustered_graph(*args)
+    assert "\n" not in str(exc.value)
+
+
+# n, m and the sha256 of edge_array().tobytes() of the synthetic references
+# that bench/workloads.py builds at seed 0; bench/expected only checks
+# outputs, so a change to synth that moves these inputs shows here first.
+@pytest.mark.parametrize("build, n, m, sha256", [
+    (lambda: clustered_graph(100, 7, 5e-4, seed=0), 700, 2314,
+     "1a6de2ad7eefcf715424d411345b9fb1f836d5790091aa254d8754e54711826d"),
+    (lambda: clustered_graph(120, 7, 5e-4, seed=0), 840, 2817,
+     "e0cc413e0e30b7a197819c5493e2e0368847625ff74ab6385024312d61abbb39"),
+    (lambda: powerlaw_configuration_graph(1500, 2.2, seed=1), 1500, 1699,
+     "26ef2831ea0315e181117a2474c902ed0ceaf2bfdf28c13656556b675eb4d58a"),
+], ids=["clustered_700", "clustered_840", "powerlaw_1500"])
+def test_bench_synthetic_inputs_are_pinned(build, n, m, sha256):
+    g = build()
+    assert (g.n, g.m) == (n, m)
+    assert hashlib.sha256(g.edge_array().tobytes()).hexdigest() == sha256
