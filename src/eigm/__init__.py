@@ -68,9 +68,7 @@ from .bounds import (
     er_construction,
 )
 from .cell import (
-    LogitMatrix,
     cell_symmetrize,
-    rowwise_softmax,
     unconstrained_optimum,
     vandermonde_embedding,
     verify_embedding,

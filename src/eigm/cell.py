@@ -11,17 +11,14 @@ edge-probability matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse.csgraph
+import scipy.special
 
 from .graphs import Graph, degrees
 from .probmatrix import ProbMatrix, to_dense
 
 __all__ = [
-    "LogitMatrix",
-    "rowwise_softmax",
     "unconstrained_optimum",
     "cell_symmetrize",
     "vandermonde_embedding",
@@ -29,22 +26,6 @@ __all__ = [
 ]
 
 EMBED_NODE_CAP = 20  # polynomial products on integer grids; conditioning cap
-
-
-@dataclass(frozen=True)
-class LogitMatrix:
-    """Dense logit matrix with a construction-time rank certificate."""
-
-    w: np.ndarray
-    rank_bound: int
-
-
-def rowwise_softmax(w: np.ndarray | LogitMatrix) -> np.ndarray:
-    """Row-stochastic matrix: softmax of each row, max-subtracted for stability."""
-    mat = w.w if isinstance(w, LogitMatrix) else np.asarray(w, dtype=np.float64)
-    z = mat - mat.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def unconstrained_optimum(a: Graph) -> np.ndarray:
@@ -114,14 +95,14 @@ def _row_polynomial_values(
     return -vals / eps**2
 
 
-def vandermonde_embedding(a: Graph, scale: float = 1e4) -> LogitMatrix:
+def vandermonde_embedding(a: Graph, scale: float = 1e4) -> np.ndarray:
     """Rank-bounded logits whose row softmax approximates D^-1 A.
 
     Row i evaluates a degree-2*d_i polynomial at integer node positions
     1..n: value ~1 at neighbors of i, large negative elsewhere.  Every row
     polynomial has degree <= 2 * max_degree, so the stacked value matrix
-    factors through a Vandermonde basis of 2 * max_degree + 1 columns and
-    ``rank_bound`` certifies the rank.  Scaling by ``scale`` sharpens the
+    factors through a Vandermonde basis of 2 * max_degree + 1 columns: its
+    rank is at most 2 * max_degree + 1.  Scaling by ``scale`` sharpens the
     softmax toward 1/d_i on neighbors.
 
     The root brackets have half-width scale 1/scale: the residual softmax
@@ -150,19 +131,17 @@ def vandermonde_embedding(a: Graph, scale: float = 1e4) -> LogitMatrix:
         raise OverflowError(
             f"embedding logits overflowed at scale {scale:g}; reduce scale, n or degree"
         )
-    return LogitMatrix(w=w, rank_bound=2 * int(d.max()) + 1)
+    return w
 
 
-def verify_embedding(a: Graph, w: LogitMatrix | np.ndarray) -> tuple[float, int]:
-    """(max entrywise softmax error vs D^-1 A, numerical rank of the logits).
+def verify_embedding(a: Graph, w: np.ndarray) -> tuple[float, int]:
+    """(max entrywise row-softmax error vs D^-1 A, numerical rank of the logits).
 
     Rank counts singular values above 1e-8 times the largest.
     """
-    mat = w.w if isinstance(w, LogitMatrix) else np.asarray(w, dtype=np.float64)
+    mat = np.asarray(w, dtype=np.float64)
     if mat.shape != (a.n, a.n):
         raise ValueError("dimension mismatch")
     target = unconstrained_optimum(a)
-    max_error = float(np.abs(rowwise_softmax(mat) - target).max())
-    svals = np.linalg.svd(mat, compute_uv=False)
-    numerical_rank = int((svals > 1e-8 * svals[0]).sum())
-    return max_error, numerical_rank
+    max_error = float(np.abs(scipy.special.softmax(mat, axis=1) - target).max())
+    return max_error, int(np.linalg.matrix_rank(mat, rtol=1e-8))

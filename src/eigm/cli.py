@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bounds import check_cc_tightness, check_kcycle_bound, check_triangle_bound
-from .cell import vandermonde_embedding, verify_embedding
+from .cell import EMBED_NODE_CAP, vandermonde_embedding, verify_embedding
 from .graphs import (
     degrees,
     largest_connected_component,
@@ -21,7 +21,7 @@ from .graphs import (
 )
 from .modelzoo import KNOB_KEYS, MODEL_KINDS, ModelSpec
 from .oddsproduct import fit_odds_product
-from .probmatrix import load_probmatrix, sample, save_probmatrix
+from .probmatrix import _check_dense_cap, load_probmatrix, sample, save_probmatrix
 from .rng import derive_seed
 from .stats import STAT_COLUMNS, compare, triangle_counts
 from .svgplot import render_sweep_svg
@@ -142,11 +142,7 @@ def cmd_sweep(args) -> int:
     elif args.config:
         config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     else:
-        # default grid: the two convex-combination models over a coarse omega grid
-        omegas = (0.0, 0.25, 0.5, 0.75, 1.0)
-        config = ExperimentConfig(
-            tuple(ModelSpec(kind, w) for kind in ("linear", "ccop") for w in omegas)
-        )
+        args.usage_error("one of --config or --model is required")
     flags = {key: getattr(args, key) for key in GLOBAL_KEYS}
     config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     if not config.input:
@@ -203,6 +199,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cell_verify(args) -> int:
+    # refuse before drawing, in the order the generator and embedding would
+    _check_dense_cap(args.n)
+    if args.n > EMBED_NODE_CAP:
+        raise ValueError(f"embedding capped at n <= {EMBED_NODE_CAP}")
     lines = [CELL_CSV_HEADER]
     for t in range(args.trials):
         g = random_bounded_degree_graph(
@@ -211,9 +211,7 @@ def cmd_cell_verify(args) -> int:
         w = vandermonde_embedding(g, scale=args.scale)
         max_error, numerical_rank = verify_embedding(g, w)
         dmax = int(degrees(g).max())
-        lines.append(
-            f"{g.n},{dmax},{w.rank_bound},{numerical_rank},{max_error!r}"
-        )
+        lines.append(f"{g.n},{dmax},{2 * dmax + 1},{numerical_rank},{max_error!r}")
     _write_or_print("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -95,7 +95,7 @@ def hdop(a: Graph, h: int) -> ProbMatrix:
     _check_dense_cap(n)
     deg = degrees(a)
     # stable order: degree descending, then node id ascending
-    order = np.lexsort((np.arange(n), -deg))
+    order = np.argsort(-deg, kind="stable")
     pinned = np.zeros(n, dtype=bool)
     pinned[order[:h]] = True
     free = np.flatnonzero(~pinned)

@@ -71,6 +71,7 @@ def predicted_degrees(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
+    _check_dense_cap(logits.size)
     return _prob_from_logits(logits).sum(axis=1)
 
 

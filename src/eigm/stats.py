@@ -16,7 +16,7 @@ with the adjacency, and connectivity from ``scipy.sparse.csgraph``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse
@@ -38,17 +38,6 @@ __all__ = [
     "char_path_length",
     "compare",
 ]
-
-STAT_COLUMNS = (
-    "degree_pearson",
-    "max_degree",
-    "powerlaw_alpha",
-    "assortativity",
-    "triangle_pearson",
-    "triangle_count",
-    "clustering_coeff",
-    "char_path_length",
-)
 
 
 class DisconnectedGraphError(ValueError):
@@ -85,6 +74,9 @@ class StatsRecord:
             str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
             for v in self.as_tuple()
         )
+
+
+STAT_COLUMNS = tuple(f.name for f in fields(StatsRecord))
 
 
 # cap on the entries held by one row block of a sparse product (A @ A, or
@@ -223,11 +215,6 @@ def powerlaw_alpha(d: np.ndarray) -> float:
     return fit.alpha if fit is not None else float("nan")
 
 
-# set-bit count of every 16-bit value, for counting reached (source, node) pairs
-_BITS8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-_POPCOUNT16 = (_BITS8[:, None] + _BITS8[None, :]).ravel().astype(np.uint8)
-
-
 def char_path_length(g: Graph, chunk: int = 512) -> float:
     """Mean shortest-path length over all unordered node pairs.
 
@@ -266,7 +253,7 @@ def char_path_length(g: Graph, chunk: int = 512) -> float:
                     neighbor_bits, g.indptr[lo:hi] - first, axis=0
                 )
             reached &= ~seen
-            count = int(_POPCOUNT16[reached.view(np.uint16)].sum(dtype=np.int64))
+            count = int(np.bitwise_count(reached).sum(dtype=np.int64))
             if not count:
                 break
             seen |= reached

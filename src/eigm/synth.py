@@ -35,10 +35,12 @@ def random_bounded_degree_graph(n: int, dmax: int, seed: int) -> Graph:
     attached to any node with spare capacity.  If none has any, every
     other node is at dmax, and one edge (u, v) is routed through the
     isolated node instead: u and v keep their degrees, and it gets 2.
-    Requires n >= 2, dmax >= 1, and an even n when dmax = 1.
+    Requires n >= 2, dmax >= 1, and an even n when dmax = 1.  A cap above
+    n - 1 binds no node, so it acts as n - 1.
     """
     if n < 2 or dmax < 1:
         raise ValueError("need n >= 2 and dmax >= 1")
+    dmax = min(dmax, n - 1)
     if dmax == 1 and n % 2:
         raise ValueError("dmax = 1 needs an even n (a perfect matching)")
     _check_dense_cap(n)

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -157,6 +158,15 @@ def test_sweep_flag_that_would_be_ignored_is_a_usage_error(argv, message, capsys
     assert capsys.readouterr().err == f"eigm sweep: error: {message}\n"
 
 
+def test_sweep_without_a_model_source_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--input", "g.edges"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "eigm sweep: error: one of --config or --model is required\n"
+    )
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--theorem", "tri", "--gamma", "0.2"], "argument --gamma: applies only with --theorem cc"),
     (["--theorem", "kcycle", "--gamma", "0.2"],
@@ -263,6 +273,27 @@ def test_cell_verify_rows(capsys):
         assert float(err) <= 1e-3
 
 
+def test_cell_verify_degree_cap_above_n_minus_one_acts_as_n_minus_one(tmp_path):
+    outputs = []
+    for cap in ("1000000000", "11"):
+        out = tmp_path / f"cell{cap}.csv"
+        start = time.perf_counter()
+        rc = main(["cell-verify", "--n", "12", "--max-degree", cap, "--trials", "1",
+                   "--output", str(out)])
+        assert rc == 0 and time.perf_counter() - start < 1.0
+        outputs.append(out.read_text(encoding="utf-8"))
+    assert outputs[0] == outputs[1]
+
+
+def test_cell_verify_refuses_n_above_the_cap_before_drawing(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("graph drawn before the node cap was checked")
+
+    monkeypatch.setattr(eigm.cli, "random_bounded_degree_graph", fail)
+    assert main(["cell-verify", "--n", "25"]) == 1
+    assert capsys.readouterr().err == "error: embedding capped at n <= 20\n"
+
+
 def test_cell_verify_overflow_is_one_line_error(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails
@@ -366,7 +397,13 @@ def test_sweep_failure_at_any_stage_is_a_marked_row(tmp_path, capsys):
     # model there and fails in overlap, linear fails to build
     edges = tmp_path / "loop.edges"
     edges.write_text("0 0\n", encoding="utf-8")
-    rc = main(["sweep", "--input", str(edges), "--output-dir", str(tmp_path / "o")])
+    config = tmp_path / "s.cfg"
+    grid = "0, 0.25, 0.5, 0.75, 1"
+    config.write_text(
+        f"[linear]\nomega = {grid}\n[ccop]\nomega = {grid}\n", encoding="utf-8"
+    )
+    rc = main(["sweep", "--config", str(config), "--input", str(edges),
+               "--output-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == "all grid points failed\n"
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]

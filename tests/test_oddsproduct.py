@@ -112,6 +112,12 @@ def test_fit_refuses_n_above_the_dense_cap():
         fit_odds_product(np.ones(DEFAULT_DENSE_CAP + 1))
 
 
+def test_predicted_degrees_refuses_n_above_the_dense_cap():
+    # zero logits are valid, so only the cap stops a 763 MiB n x n build
+    with pytest.raises(CapacityError):
+        predicted_degrees(np.zeros(DEFAULT_DENSE_CAP + 1))
+
+
 def test_fit_rejects_bad_input():
     with pytest.raises(ValueError):
         fit_odds_product(np.array([5, 1, 1]))  # degree > n-1
