@@ -10,8 +10,11 @@ never self-loops), which also makes the overlap identity
 from __future__ import annotations
 
 import itertools
+import os
+import secrets
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -83,7 +86,12 @@ class ProbMatrix:
         lo, hi = a.min(), a.max()  # NaN or inf reaches one of the two
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("probability matrix entries must be finite (no NaN or inf)")
-        if not np.array_equal(a, a.T):
+        t = 256  # tile by tile, so no transposed n x n temporary is made
+        if not all(
+            np.array_equal(a[i : i + t, j : j + t], a[j : j + t, i : i + t].T)
+            for i in range(0, a.shape[0], t)
+            for j in range(i, a.shape[0], t)
+        ):
             raise ValueError("probability matrix must be symmetric")
         if lo < -_RANGE_SLACK or hi > 1.0 + _RANGE_SLACK:
             raise ValueError(f"entries outside [0, 1]: min={lo}, max={hi}")
@@ -209,14 +217,30 @@ def convex_combine(p: ProbMatrix, a: Graph, omega: float) -> ProbMatrix:
 
 
 def save_probmatrix(p: ProbMatrix, path) -> None:
-    """Write the text-triplet format: header "n=<n>", then "i j p" (i < j, p > 0)."""
-    iu, ju = np.nonzero(np.triu(p.mat > 0.0, 1))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n={p.n}\n")
-        fh.writelines(
-            f"{i} {j} {v:.17g}\n"
-            for i, j, v in zip(iu.tolist(), ju.tolist(), p.mat[iu, ju].tolist())
-        )
+    """Write the text-triplet format: header "n=<n>", then "i j p" (i < j, p > 0).
+
+    Rows stream into a temporary file beside ``path`` that replaces it only
+    after the last row, so a failed write leaves no partial file.  Each node
+    id, and each distinct value of a row, is formatted once.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    ids = [f"{k} " for k in range(p.n)]
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(f"n={p.n}\n")
+            for i in range(p.n - 1):
+                row = p.mat[i, i + 1 :]
+                js = np.flatnonzero(row > 0.0)
+                if js.size:
+                    vals, inv = np.unique(row[js], return_inverse=True)
+                    text = [f"{v:.17g}\n" for v in vals.tolist()]
+                    tails = [ids[j] + text[c] for j, c in zip((js + i + 1).tolist(), inv.tolist())]
+                    fh.write(ids[i] + ids[i].join(tails))  # each line is "i " + tail
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_probmatrix(path) -> ProbMatrix:

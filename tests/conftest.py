@@ -39,6 +39,36 @@ def k4_minus_edge():
     return Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
+class _FailingWrites:
+    """A text file whose ``fail_at``-th write raises OSError."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.left = fh, fail_at
+
+    def write(self, text):
+        self.left -= 1
+        if self.left == 0:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.fixture
+def failing_pmat_write(monkeypatch):
+    """Make ``save_probmatrix`` fail on its third write: the header and the
+    first row go out, the second row raises OSError."""
+    monkeypatch.setattr(
+        "eigm.probmatrix.open",
+        lambda *args, **kwargs: _FailingWrites(open(*args, **kwargs), 3),
+        raising=False,
+    )
+
+
 def complete_graph(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 

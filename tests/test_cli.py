@@ -71,6 +71,17 @@ def test_fit_above_the_dense_cap_is_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "path.pmat").exists()
 
 
+def test_fit_failing_write_is_one_line_error_and_leaves_no_pmat(tmp_path, capsys,
+                                                              failing_pmat_write):
+    edges = tmp_path / "c5.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["fit", "--input", str(edges), "--output-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert list(out.iterdir()) == []
+
+
 def test_sample_deterministic_bytes(tmp_path, capsys):
     pmat = tmp_path / "p.pmat"
     pmat.write_text("n=4\n0 1 0.7\n1 2 0.4\n2 3 0.9\n", encoding="utf-8")

@@ -13,6 +13,7 @@ import importlib.util
 import itertools
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -374,14 +375,17 @@ def test_clustered_graph_matches_loop_oracle(n_cliques, clique_size, bridge_prob
     _assert_same_graph(clustered_graph(n_cliques, clique_size, bridge_prob, seed), want)
 
 
-@given(sampler_cases())
-@settings(max_examples=100, deadline=None)
-def test_save_probmatrix_matches_text_oracle(case):
-    p, _ = case
+def _assert_writes_text_oracle(p: ProbMatrix):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.pmat"
         save_probmatrix(p, path)
         assert path.read_text(encoding="utf-8") == oracles.probmatrix_text(p)
+
+
+@given(sampler_cases())
+@settings(max_examples=100, deadline=None)
+def test_save_probmatrix_matches_text_oracle(case):
+    _assert_writes_text_oracle(case[0])
 
 
 @st.composite
@@ -399,6 +403,20 @@ def text_format_cases(draw):
     m = np.where(kind < zero, 0.0, m)
     np.fill_diagonal(m, 0.0)
     return ProbMatrix.from_array(m)
+
+
+@given(text_format_cases())
+@settings(max_examples=100, deadline=None)
+def test_save_probmatrix_formats_zeros_ones_and_subnormals_like_text_oracle(p):
+    _assert_writes_text_oracle(p)
+
+
+@pytest.mark.parametrize("mat", [
+    np.zeros((1, 1)),
+    np.ones((4, 4)) - np.eye(4),
+], ids=["n1", "complete-n4"])
+def test_save_probmatrix_matches_text_oracle_at_the_edges(mat):
+    _assert_writes_text_oracle(ProbMatrix.from_array(mat))
 
 
 @given(text_format_cases())
@@ -568,6 +586,33 @@ def test_convex_combine_matches_dense_oracle(g, omega, seed, scale):
 @settings(max_examples=150, deadline=None)
 def test_serialize_edge_list_matches_tuple_sort_oracle(g):
     assert serialize_edge_list(g) == oracles.serialize_edge_list(g)
+
+
+@given(graphs_with_isolated_nodes())
+@settings(max_examples=150, deadline=None)
+def test_save_probmatrix_matches_text_oracle_on_odds_product_fits(g):
+    """Few distinct values, repeated across rows; an isolated node's row is
+    all zero."""
+    try:
+        _, p, _ = fit_odds_product(degrees(g))
+    except FitConvergenceError:
+        return
+    _assert_writes_text_oracle(p)
+
+
+@pytest.mark.parametrize("kind", ["fit", "all-distinct"])
+def test_save_probmatrix_peak_stays_below_one_copy_of_p(tmp_path, kind):
+    if kind == "fit":
+        _, p, _ = fit_odds_product(degrees(clustered_graph(86, 7, 5e-4, seed=0)))
+    else:
+        p = random_probmatrix(600, 0)
+    tracemalloc.start()
+    try:
+        save_probmatrix(p, tmp_path / "p.pmat")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p.n**2
 
 
 @st.composite

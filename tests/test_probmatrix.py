@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,50 @@ def test_constructor_names_non_finite_entries():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="entries must be finite"):
             ProbMatrix.from_array([[0.0, bad], [bad, 0.0]])
+
+
+@st.composite
+def one_entry_from_symmetric(draw):
+    """A symmetric n x n array, n in 1..600, with one entry (i, j) replaced:
+    in the first diagonal tile, in the last (often partial) 256 x 256 tile,
+    in an off-diagonal tile, or anywhere; the new value is drawn from
+    [0, 1], or is -0.0 facing 0.0."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 255, 256, 257, 511, 512, 513]), st.integers(1, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((n, n))
+    a = a + a.T
+    a /= 2.0
+    last = (n - 1) // 256 * 256
+    where = draw(st.sampled_from(["first", "last", "off", "anywhere"]))
+    if where == "off" and n > 256:
+        i, j = draw(st.integers(0, 255)), draw(st.integers(256, n - 1))
+        if draw(st.booleans()):
+            i, j = j, i
+    elif where == "last":
+        i, j = draw(st.integers(last, n - 1)), draw(st.integers(last, n - 1))
+    elif where == "first":
+        i, j = draw(st.integers(0, min(n, 256) - 1)), draw(st.integers(0, min(n, 256) - 1))
+    else:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        a[i, j], a[j, i] = 0.0, 0.0
+        a[i, j] = -0.0
+    else:
+        a[i, j] = draw(st.floats(0.0, 1.0))
+    return a
+
+
+@given(one_entry_from_symmetric())
+@settings(max_examples=150, deadline=None)
+def test_tiled_symmetry_check_matches_array_equal(a):
+    symmetric = np.array_equal(a, a.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a planted diagonal entry is zeroed
+        if symmetric:
+            ProbMatrix.from_array(a)
+        else:
+            with pytest.raises(ValueError, match="^probability matrix must be symmetric$"):
+                ProbMatrix.from_array(a)
 
 
 def test_from_array_takes_over_an_owned_writeable_float64_array():
@@ -337,6 +382,23 @@ def test_persistence_text_format(tmp_path):
         "1 2 1\n"
         "2 3 2.4999999999999999e-07\n"
     )
+
+
+def test_failed_write_leaves_no_file(tmp_path, failing_pmat_write):
+    p = er_construction(4, 0.5)
+    path = tmp_path / "p.pmat"
+    with pytest.raises(OSError, match="No space left"):
+        save_probmatrix(p, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, failing_pmat_write):
+    path = tmp_path / "p.pmat"
+    path.write_text("n=2\n0 1 0.5\n", encoding="utf-8")
+    with pytest.raises(OSError):
+        save_probmatrix(er_construction(4, 0.5), path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text(encoding="utf-8") == "n=2\n0 1 0.5\n"
 
 
 def test_persistence_rejects_bad_input(tmp_path):
