@@ -114,21 +114,15 @@ def check_kcycle_bound(p: ProbMatrix, k: int) -> BoundReport:
     return _cycle_bound(p, k, f"{k}-cycles", mode, lhs)
 
 
-def check_cc_tightness(
-    n: int,
-    gamma: float,
-    samples: int,
-    seed: int,
-    tol: float | None = None,
-) -> BoundReport:
+def check_cc_tightness(n: int, gamma: float, samples: int, seed: int) -> BoundReport:
     """Monte-Carlo clustering of uniform models against its predicted level.
 
     Samples from the uniform matrix with entry gamma and compares the mean
     global clustering coefficient to gamma, the level the tightness
-    analysis predicts; ``holds`` is keyed to |mean - gamma| <= tol.  The
-    reported rhs is the clustering bound expression gamma^{3/2} * n /
-    V^{1/2} with its unspecified constant taken as 1, for reference only.
-    The construction requires volume >= 2n.
+    analysis predicts; ``holds`` is keyed to |mean - gamma| <=
+    max(0.02, 0.06 * gamma).  The reported rhs is the clustering bound
+    expression gamma^{3/2} * n / V^{1/2} with its unspecified constant
+    taken as 1, for reference only.  The construction requires volume >= 2n.
     """
     if samples < 3:
         raise ValueError("need at least 3 samples")
@@ -139,8 +133,6 @@ def check_cc_tightness(
             f"hypothesis violated: volume {vol:.1f} < 2n = {2 * n} "
             "(raise gamma or n)"
         )
-    if tol is None:
-        tol = max(0.02, 0.06 * gamma)
     vals = [
         global_clustering(sample(p, derive_seed(seed, "cc-tightness", t)))
         for t in range(samples)
@@ -153,7 +145,7 @@ def check_cc_tightness(
         mode="monte-carlo",
         lhs=mean,
         rhs=rhs,
-        holds=abs(mean - gamma) <= tol,
+        holds=abs(mean - gamma) <= max(0.02, 0.06 * gamma),
         std_err=std_err,
     )
 

@@ -84,13 +84,11 @@ def _row_polynomial_values(
     dividing by -eps^2 normalizes that constant to 1.  Evaluation stays in
     product form (never expanded to monomial coefficients).
     """
-    d = neighbor_pos.size
-    w = np.empty(d)
-    for k in range(d):
-        diff = neighbor_pos[k] - np.delete(neighbor_pos, k)
-        w[k] = 1.0 / float(np.prod(diff))
+    diff = neighbor_pos[:, None] - neighbor_pos
+    np.fill_diagonal(diff, 1.0)  # the factor j' = j is left out
+    w = 1.0 / diff.prod(axis=1)
     vals = np.ones_like(positions)
-    for j in range(d):
+    for j in range(neighbor_pos.size):
         vals = vals * ((positions - neighbor_pos[j]) ** 2 - (eps * w[j]) ** 2)
     return -vals / eps**2
 

@@ -28,6 +28,7 @@ __all__ = [
     "degree_jacobian",
     "fit_odds_product",
     "EXCLUDED_LOGIT",
+    "EPS",
     "MAX_ITER",
 ]
 
@@ -36,8 +37,10 @@ __all__ = [
 # exactly 0.0 against any logit the fit can produce.
 EXCLUDED_LOGIT = -1e9
 
-# Newton steps before the fit gives up on a sequence.
+# Newton steps before the fit gives up on a sequence, and the 2-norm degree
+# residual it must reach.
 MAX_ITER = 100
+EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,10 @@ class FitConvergenceError(RuntimeError):
 
 
 def _prob_from_logits(logits: np.ndarray) -> np.ndarray:
-    p = np.add.outer(logits, logits)
-    expit(p, out=p)
+    # one expit per pair of distinct logits; indexing rows and columns in
+    # one step keeps the gather C-ordered (table[cls][:, cls] is F-ordered)
+    vals, cls = np.unique(logits, return_inverse=True)
+    p = expit(np.add.outer(vals, vals))[cls[:, None], cls]
     np.fill_diagonal(p, 0.0)
     return p
 
@@ -108,18 +113,16 @@ def _solve_step(j: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.solve(ridge, r), True
 
 
-def fit_odds_product(
-    d: np.ndarray, eps: float = 1e-6
-) -> tuple[np.ndarray, ProbMatrix, FitReport]:
+def fit_odds_product(d: np.ndarray) -> tuple[np.ndarray, ProbMatrix, FitReport]:
     """Fit logits so the model's expected degrees match ``d``.
 
     Newton-Raphson on one logit per distinct degree, from ell = 0, for at
     most :data:`MAX_ITER` steps, each with a backtracking step size (halved
     on residual increase, at most 30 times).  Inside the loop the residual
-    target is tightened to min(eps, 10 * eps / sqrt(n)) so the
-    infinity-norm degree error is bounded by 10 * eps / sqrt(n) on success;
-    convergence is declared whenever the 2-norm residual is <= eps.  An n
-    above the dense cap is refused before the n x n P is built.
+    target is tightened to min(EPS, 10 * EPS / sqrt(n)) so the
+    infinity-norm degree error is bounded by 10 * EPS / sqrt(n) on success;
+    convergence is declared whenever the 2-norm residual is <= :data:`EPS`.
+    An n above the dense cap is refused before the n x n P is built.
 
     Zero-degree nodes are removed before fitting (their logits diverge)
     and re-inserted as zero rows; their returned logit is the finite
@@ -135,8 +138,6 @@ def fit_odds_product(
     n = d.size
     if np.any(d < 0) or np.any(d > n - 1):
         raise ValueError("degrees must lie in [0, n-1]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     _check_dense_cap(n)
 
     active = np.flatnonzero(d > 0)
@@ -146,7 +147,7 @@ def fit_odds_product(
     ell = np.zeros(dc.size)
     p, r, res = _class_residual(ell, dc, cnt)
     history = [res]
-    target = min(eps, 10.0 * eps / np.sqrt(n))
+    target = min(EPS, 10.0 * EPS / np.sqrt(n))
     ridge_used = False
     iterations = 0
     stalled = False
@@ -173,7 +174,7 @@ def fit_odds_product(
         history.append(res)
         iterations += 1
 
-    converged = res <= eps
+    converged = res <= EPS
     logits[active] = ell[cls]
     full = _prob_from_logits(logits)
     report = FitReport(
@@ -186,7 +187,7 @@ def fit_odds_product(
     if not converged:
         reason = "line search stalled" if stalled else f"MAX_ITER={MAX_ITER} reached"
         raise FitConvergenceError(
-            f"degree fit did not converge ({reason}, residual {res:.3e} > {eps:g}); "
+            f"degree fit did not converge ({reason}, residual {res:.3e} > {EPS:g}); "
             "the target sequence may not be graphical",
             report,
         )

@@ -175,11 +175,15 @@ def expected_kcycles_trace(p: ProbMatrix, k: int) -> float:
     """trace(P^k) / (2k): upper bound on the expected k-cycle count.
 
     Exact only for k = 3 (zero diagonal); for k >= 4 closed walks include
-    degenerate tuples, so this dominates the true expectation.
+    degenerate tuples, so this dominates the true expectation.  As P is
+    symmetric, trace(P^k) is the entrywise product sum of P^floor(k/2)
+    and P^ceil(k/2).
     """
     if not 3 <= k <= 8:
         raise ValueError("k must be in [3, 8]")
-    return float(np.trace(np.linalg.matrix_power(p.mat, k)) / (2.0 * k))
+    half = np.linalg.matrix_power(p.mat, k // 2)
+    other = half @ p.mat if k % 2 else half
+    return float((half * other).sum() / (2.0 * k))
 
 
 def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:

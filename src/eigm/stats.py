@@ -137,23 +137,16 @@ def assortativity(g: Graph) -> float:
     """
     if g.m < 2:
         return float("nan")
-    d = degrees(g).astype(np.float64)
-    e = g.edge_array()
-    x = np.concatenate([d[e[:, 0]], d[e[:, 1]]])
-    y = np.concatenate([d[e[:, 1]], d[e[:, 0]]])
-    return _pearson(x, y)
+    d = degrees(g)
+    return _pearson(d[g._rows()], d[g.indices])  # CSR holds both orientations
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    xd = x - x.mean()
-    yd = y - y.mean()
-    vx = float((xd * xd).sum())
-    vy = float((yd * yd).sum())
-    if vx == 0.0 or vy == 0.0:
+    """Pearson correlation; NaN for fewer than 2 entries or zero variance."""
+    if len(x) < 2:  # np.cov would warn through the warnings module
         return float("nan")
-    return float((xd * yd).sum() / math.sqrt(vx * vy))
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 is the NaN marker
+        return float(np.corrcoef(x, y)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -215,11 +208,15 @@ def powerlaw_alpha(d: np.ndarray) -> float:
     return fit.alpha if fit is not None else float("nan")
 
 
-def char_path_length(g: Graph, chunk: int = 512) -> float:
+# BFS sources run together in one bit-matrix block
+_SOURCES = 512
+
+
+def char_path_length(g: Graph) -> float:
     """Mean shortest-path length over all unordered node pairs.
 
-    Exact all-sources BFS, run for a block of ``chunk`` sources (rounded up
-    to a multiple of 64) at a time.  The block's frontier is a bit matrix,
+    Exact all-sources BFS, run for a block of ``_SOURCES`` sources (rounded
+    up to a multiple of 64) at a time.  The block's frontier is a bit matrix,
     one row of uint64 words per node and one bit per source; each BFS level
     is its boolean product with the CSR adjacency, an OR over every row's
     neighbors.  Distances are summed as integers.  Raises on disconnected
@@ -234,7 +231,7 @@ def char_path_length(g: Graph, chunk: int = 512) -> float:
         raise DisconnectedGraphError(
             "graph is disconnected; apply largest_connected_component first"
         )
-    words = -(-min(chunk, g.n) // 64)
+    words = -(-min(_SOURCES, g.n) // 64)
     blocks = _row_blocks(words * degrees(g))  # words gathered per row
     total = 0
     for start in range(0, g.n, 64 * words):

@@ -16,11 +16,7 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
     out = []
-    pts_all = []
-    for model, pts in rows_by_model.items():
-        for x, y in pts:
-            if math.isfinite(x) and math.isfinite(y):
-                pts_all.append(y)
+    pts_all = [y for pts in rows_by_model.values() for _, y in pts]
     if math.isfinite(ref_value):
         pts_all.append(ref_value)
     if not pts_all:
@@ -65,18 +61,14 @@ def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
             'stroke="#444" stroke-dasharray="4,3" stroke-width="1"/>'
         )
     for model, pts in rows_by_model.items():
-        coords = [
-            f"{px(x):.1f},{py(y):.1f}"
-            for x, y in pts
-            if math.isfinite(x) and math.isfinite(y)
-        ]
+        coords = [(f"{px(x):.1f}", f"{py(y):.1f}") for x, y in pts]
         if len(coords) >= 2:
+            points = " ".join(f"{cx},{cy}" for cx, cy in coords)
             out.append(
-                f'<polyline points="{" ".join(coords)}" fill="none" '
+                f'<polyline points="{points}" fill="none" '
                 f'stroke="{color_of[model]}" stroke-width="1.5"/>'
             )
-        for c in coords:
-            cx, cy = c.split(",")
+        for cx, cy in coords:
             out.append(
                 f'<circle cx="{cx}" cy="{cy}" r="2.2" fill="{color_of[model]}"/>'
             )
@@ -108,14 +100,11 @@ def render_sweep_svg(rows: list[SweepRow], reference: StatsRecord) -> str:
             f'<text x="{x + 27}" y="{height - 8}" font-size="11">{m}</text>'
         )
     for k, stat in enumerate(STAT_COLUMNS):
-        rows_by_model = {
-            m: [
-                (r.overlap_expected, r.means.get(stat, float("nan")))
-                for r in rows
-                if r.model == m and r.status == "ok"
-            ]
-            for m in models
-        }
+        rows_by_model = {m: [] for m in models}  # finite points of ok rows
+        for r in rows:
+            x, y = r.overlap_expected, r.means.get(stat, float("nan"))
+            if r.status == "ok" and math.isfinite(x) and math.isfinite(y):
+                rows_by_model[r.model].append((x, y))
         ref_value = getattr(reference, stat)
         x0 = (k % cols) * _PANEL_W
         y0 = (k // cols) * _PANEL_H

@@ -88,8 +88,7 @@ def powerlaw_configuration_graph(n: int, exponent: float, seed: int) -> Graph:
         deg[int(rng.integers(n))] += 1
     stubs = np.repeat(np.arange(n), deg)
     rng.shuffle(stubs)
-    pairs = stubs.reshape(-1, 2)
-    return Graph.from_edges(n, (tuple(e) for e in pairs))
+    return Graph.from_edges(n, stubs.reshape(-1, 2))
 
 
 def clustered_graph(n_cliques: int, clique_size: int, bridge_prob: float, seed: int) -> Graph:

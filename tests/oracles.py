@@ -1,5 +1,6 @@
 """Slow, loop-based reference implementations of the graph and statistics
-kernels, the node-level odds-product fit, the exact k-cycle count, the
+kernels, Pearson correlation from centred sums, the dense odds-product P
+and node-level fit, the exact and matrix-power trace k-cycle counts, the
 text-format reader, the edge-list writer, the clustered graph and the
 pairwise empirical overlap, index-array statements of the sampler, the
 text writer, the random probability matrix and the volume shift, and the
@@ -22,6 +23,7 @@ import itertools
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
+from scipy.special import expit
 
 from eigm import oddsproduct
 from eigm.graphs import Graph, degrees
@@ -30,7 +32,6 @@ from eigm.oddsproduct import (
     MAX_ITER,
     FitConvergenceError,
     FitReport,
-    _prob_from_logits,
     _solve_step,
 )
 from eigm.probmatrix import ProbMatrix, ZeroVolumeError, _check_dense_cap, to_dense, volume
@@ -186,9 +187,39 @@ def char_path_length(g: Graph) -> float:
     return float(dist.sum()) / 2.0 / (g.n * (g.n - 1) / 2.0)
 
 
-def fit_odds_product(
-    d: np.ndarray, eps: float = 1e-6
-) -> tuple[np.ndarray, ProbMatrix, FitReport]:
+def pearson(x, y) -> float:
+    """Centred cross sum over the root of the centred square sums; NaN for
+    fewer than 2 entries or a constant side."""
+    if len(x) < 2:
+        return float("nan")
+    xd = np.asarray(x, dtype=np.float64) - np.mean(x)
+    yd = np.asarray(y, dtype=np.float64) - np.mean(y)
+    vx, vy = float((xd * xd).sum()), float((yd * yd).sum())
+    if vx == 0.0 or vy == 0.0:
+        return float("nan")
+    return float((xd * yd).sum() / np.sqrt(vx * vy))
+
+
+def assortativity(g: Graph) -> float:
+    """Pearson correlation of the endpoint degrees of each edge, taken in
+    both orientations; NaN below 2 edges."""
+    if g.m < 2:
+        return float("nan")
+    d = degrees(g)
+    e = edge_array(g)
+    return pearson(
+        np.concatenate([d[e[:, 0]], d[e[:, 1]]]), np.concatenate([d[e[:, 1]], d[e[:, 0]]])
+    )
+
+
+def prob_from_logits(logits: np.ndarray) -> np.ndarray:
+    """sigmoid(ell_i + ell_j) computed for every pair, zero diagonal."""
+    p = expit(np.add.outer(logits, logits))
+    np.fill_diagonal(p, 0.0)
+    return p
+
+
+def fit_odds_product(d: np.ndarray) -> tuple[np.ndarray, ProbMatrix, FitReport]:
     """Damped Newton on one logit per node: each step solves the dense
     n x n system J = B + diag(B @ 1), B = P * (1 - P) with zero diagonal.
     Same contract as :func:`eigm.oddsproduct.fit_odds_product`."""
@@ -198,8 +229,6 @@ def fit_odds_product(
     n = d.size
     if np.any(d < 0) or np.any(d > n - 1):
         raise ValueError("degrees must lie in [0, n-1]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
 
     active = np.flatnonzero(d > 0)
     logits = np.full(n, EXCLUDED_LOGIT, dtype=np.float64)
@@ -211,10 +240,11 @@ def fit_odds_product(
     da = d[active]
     na = active.size
     ell = np.zeros(na)
-    p = _prob_from_logits(ell)
+    p = prob_from_logits(ell)
     r = p.sum(axis=1) - da
     res = float(np.linalg.norm(r))
     history = [res]
+    eps = oddsproduct.EPS
     target = min(eps, 10.0 * eps / np.sqrt(n))
     ridge_used = False
     iterations = 0
@@ -230,7 +260,7 @@ def fit_odds_product(
         improved = False
         for _ in range(31):
             ell_try = ell - eta * step
-            p_try = _prob_from_logits(ell_try)
+            p_try = prob_from_logits(ell_try)
             r_try = p_try.sum(axis=1) - da
             res_try = float(np.linalg.norm(r_try))
             if res_try < res:
@@ -246,7 +276,7 @@ def fit_odds_product(
 
     converged = res <= eps
     logits[active] = ell
-    full = _prob_from_logits(logits)
+    full = prob_from_logits(logits)
     report = FitReport(
         iterations=iterations,
         residual_history=history,
@@ -262,6 +292,11 @@ def fit_odds_product(
             report,
         )
     return logits, ProbMatrix.from_array(full), report
+
+
+def expected_kcycles_trace(p: ProbMatrix, k: int) -> float:
+    """trace(P^k) / 2k with P^k formed by ``matrix_power``."""
+    return float(np.trace(np.linalg.matrix_power(p.mat, k)) / (2.0 * k))
 
 
 def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:

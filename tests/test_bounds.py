@@ -117,18 +117,18 @@ def test_kcycle_bound_exact_mode_property(p):
 
 
 def test_cc_tightness_bands():
-    low = check_cc_tightness(500, 0.1, samples=5, seed=0, tol=0.02)
+    low = check_cc_tightness(500, 0.1, samples=5, seed=0)
     assert low.mode == "monte-carlo"
     assert abs(low.lhs - 0.1) <= 0.02
     assert low.holds
     assert math.isfinite(low.std_err)
-    mid = check_cc_tightness(200, 0.5, samples=5, seed=1, tol=0.03)
+    mid = check_cc_tightness(200, 0.5, samples=5, seed=1)
     assert abs(mid.lhs - 0.5) <= 0.03
     assert mid.holds
 
 
 def test_cc_tightness_complete():
-    report = check_cc_tightness(60, 1.0, samples=3, seed=2, tol=1e-12)
+    report = check_cc_tightness(60, 1.0, samples=3, seed=2)
     assert report.lhs == pytest.approx(1.0)
     assert report.holds
 

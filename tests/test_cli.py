@@ -232,6 +232,16 @@ def test_stats_row(tmp_path, capsys):
     assert fields[0] == "1.0"  # degree pearson of identical graphs
 
 
+def test_stats_on_a_one_node_graph_warns_nothing(tmp_path, capsys):
+    one = tmp_path / "one.edges"
+    one.write_text("0 0\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stats", "--reference", str(one), "--sample", str(one)]) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert fields[0] == fields[3] == fields[4] == "nan"  # both correlations, assortativity
+
+
 def test_verify_tri_summary(capsys, tmp_path):
     out_csv = tmp_path / "bounds.csv"
     rc = main([

@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import random_connected_graph
-from eigm import stats
+from eigm import oddsproduct, stats
 from eigm.graphs import (
     Graph,
     connected_components,
@@ -33,13 +33,14 @@ from eigm.graphs import (
     serialize_edge_list,
 )
 from eigm.modelzoo import fit_volume_shift, hdop, linear_model, tsvd_model
-from eigm.oddsproduct import FitConvergenceError, fit_odds_product
+from eigm.oddsproduct import EXCLUDED_LOGIT, FitConvergenceError, fit_odds_product
 from eigm.probmatrix import (
     ProbMatrix,
     ZeroVolumeError,
     convex_combine,
     empirical_overlap,
     expected_kcycles_exact,
+    expected_kcycles_trace,
     load_probmatrix,
     sample,
     save_probmatrix,
@@ -169,6 +170,41 @@ def test_compare_clustering_matches_global_clustering(g):
 
 
 @st.composite
+def graph_pairs(draw):
+    """A reference and a generated graph on the same node set."""
+    n, edges = draw(raw_edge_lists())
+    node = st.integers(0, n - 1)
+    other = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return Graph.from_edges(n, edges), Graph.from_edges(n, other)
+
+
+def _same_correlation(got: float, want: float) -> bool:
+    # a zero correlation comes out of either sum as cancellation noise near
+    # 1e-17, so values within 1e-12 of 0 compare absolutely
+    return (math.isnan(got) and math.isnan(want)) or math.isclose(
+        got, want, rel_tol=1e-12, abs_tol=1e-12
+    )
+
+
+_CYCLE = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+@given(graph_pairs())
+@example((Graph.from_edges(1, []), Graph.from_edges(1, [])))  # one node
+@example((_CYCLE, _CYCLE))  # regular: constant degrees
+@example((_CYCLE, Graph.from_edges(6, [])))  # edgeless sample
+@example((_CYCLE, Graph.from_edges(6, [(0, 1)])))  # one edge
+@settings(max_examples=150, deadline=None)
+def test_correlations_match_the_pearson_oracle(pair):
+    ref, gen = pair
+    rec = compare(ref, gen)
+    t_ref, t_gen = oracles.triangle_counts(ref)[0], oracles.triangle_counts(gen)[0]
+    assert _same_correlation(rec.degree_pearson, oracles.pearson(degrees(ref), degrees(gen)))
+    assert _same_correlation(rec.triangle_pearson, oracles.pearson(t_ref, t_gen))
+    assert _same_correlation(rec.assortativity, oracles.assortativity(gen))
+
+
+@st.composite
 def corrupted_graphs(draw):
     """A valid graph whose CSR arrays had one neighbor id overwritten."""
     g = draw(graphs(max_n=8).filter(lambda g: g.m > 0))
@@ -208,11 +244,12 @@ def test_validate_rejects_each_broken_invariant():
 
 
 @pytest.mark.parametrize("chunk", [1, 64, 100, 512])
-def test_char_path_length_source_blocks(chunk):
+def test_char_path_length_source_blocks(chunk, monkeypatch):
     # n > 64 puts the sources in several bit-word blocks
+    monkeypatch.setattr(stats, "_SOURCES", chunk)
     for seed in range(3):
         g = random_connected_graph(150, 0.03, seed=seed)
-        assert char_path_length(g, chunk=chunk) == oracles.char_path_length(g)
+        assert char_path_length(g) == oracles.char_path_length(g)
 
 
 def test_row_blocked_kernels_match_oracles(monkeypatch):
@@ -291,6 +328,24 @@ def test_class_fit_needs_no_ridge_on_two_equal_degrees():
     assert np.abs(p_fast.mat - p_slow.mat).max() <= 1e-12
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -2.5, 3.0, EXCLUDED_LOGIT]),  # repeated logits
+            st.floats(-40.0, 40.0),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_prob_from_logits_gathers_the_dense_formula(logits):
+    logits = np.array(logits)
+    p = oddsproduct._prob_from_logits(logits)
+    assert p.flags.c_contiguous
+    assert p.tobytes() == oracles.prob_from_logits(logits).tobytes()
+
+
 @st.composite
 def cycle_cases(draw):
     """(P, k): n in 1..10 (n < k included), binary or fractional entries,
@@ -317,6 +372,15 @@ def test_kcycles_exact_matches_ordered_tuple_oracle(case):
         assert fast == 0.0
     else:
         assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
+
+
+@given(st.integers(1, 60), st.integers(3, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 0.1]))
+@settings(max_examples=100, deadline=None)
+def test_kcycle_trace_matches_matrix_power_oracle(n, k, seed, scale):
+    p = random_probmatrix(n, seed, scale)
+    fast, slow = expected_kcycles_trace(p, k), oracles.expected_kcycles_trace(p, k)
+    assert math.isclose(fast, slow, rel_tol=1e-12)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,15 @@ def test_compare_empty_sample(k4_minus_edge):
     assert rec.triangle_count == 0
     assert rec.max_degree == 0
     assert math.isnan(rec.char_path_length)
+
+
+def test_compare_on_a_cycle_warns_nothing(cycle5):
+    # constant degrees and triangle counts: every correlation is 0 / 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = compare(cycle5, cycle5)
+    assert math.isnan(rec.degree_pearson) and math.isnan(rec.triangle_pearson)
+    assert math.isnan(rec.assortativity)
 
 
 def test_compare_node_count_mismatch(triangle, k4_minus_edge):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from eigm.modelzoo import ModelSpec
 from eigm.graphs import Graph
-from eigm.stats import STAT_COLUMNS, compare, global_clustering
+from eigm.stats import STAT_COLUMNS, StatsRecord, compare, global_clustering
 from eigm.svgplot import render_sweep_svg
 from eigm.sweep import (
     ExperimentConfig,
@@ -259,6 +260,34 @@ def test_render_sweep_svg(reference):
     assert "polyline" in svg
     # deterministic output
     assert svg == render_sweep_svg(rows, reference_record(reference))
+
+
+def test_render_sweep_svg_bytes_are_pinned():
+    # NaN and +-inf means, a NaN overlap, an error row, a panel with no finite
+    # point and a one-point model: only finite points of ok rows are drawn
+    nan, inf = float("nan"), float("inf")
+
+    def row(model, x, status="ok", **over):
+        means = {c: 0.1 * (i + 1) + x for i, c in enumerate(STAT_COLUMNS)}
+        means["clustering_coeff"] = nan
+        means.update(over)
+        return SweepRow(model, x, x, x, means, {c: 0.0 for c in STAT_COLUMNS}, status)
+
+    rows = [
+        row("linear", 0.1, degree_pearson=nan, max_degree=inf),
+        row("linear", 0.4, max_degree=-inf, assortativity=nan),
+        row("linear", 0.7),
+        row("linear", 0.9, status="error: sample: boom", triangle_count=99.0),
+        row("ccop", nan),
+        row("ccop", 0.3, char_path_length=inf),
+        row("ccop", 0.8, char_path_length=inf),
+        row("tsvd", 0.55),
+    ]
+    ref = StatsRecord(0.9, 5, nan, -0.2, 1.0, 12, nan, 2.5)
+    svg = render_sweep_svg(rows, ref).encode()
+    assert hashlib.sha256(svg).hexdigest() == (
+        "a2a2f130714c7d2895e5fa50c118856e03010c4298d626c0e9267ce1a78a0329"
+    )
 
 
 @pytest.mark.parametrize(
