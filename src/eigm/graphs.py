@@ -91,23 +91,16 @@ class Graph:
             np.all(us < vs) and np.all(us >= 0) and np.all(vs < n)
         ):
             raise ValueError("pairs must satisfy 0 <= u < v < n")
-        all_u = np.concatenate([us, vs])
-        all_v = np.concatenate([vs, us])
-        order = np.lexsort((all_v, all_u))
-        indices = all_v[order]
-        deg = np.bincount(all_u, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        # a repeated pair sorts into two equal adjacent (row, neighbor) entries
-        if np.any((np.diff(all_u[order]) == 0) & (np.diff(indices) == 0)):
+        # the sorted keys row * n + neighbor of both orientations are the
+        # CSR order; a repeated pair sorts into two equal adjacent keys
+        keys = np.sort(np.concatenate([us * np.int64(n) + vs, vs * np.int64(n) + us]))
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate pairs")
-        g = cls(n=n, indptr=indptr, indices=indices, m=len(us))
-        g._freeze()
-        return g
-
-    def _freeze(self) -> None:
-        self.indptr.flags.writeable = False
-        self.indices.flags.writeable = False
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        indices = keys % n
+        indptr.flags.writeable = indices.flags.writeable = False
+        return cls(n=n, indptr=indptr, indices=indices, m=len(us))
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]

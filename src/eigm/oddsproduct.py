@@ -149,31 +149,26 @@ def fit_odds_product(d: np.ndarray) -> tuple[np.ndarray, ProbMatrix, FitReport]:
     history = [res]
     target = min(EPS, 10.0 * EPS / np.sqrt(n))
     ridge_used = False
-    iterations = 0
-    stalled = False
 
-    while res > target and iterations < MAX_ITER:
+    while res > target and len(history) <= MAX_ITER:
         # the node Jacobian B + diag(B @ 1) restricted to class-constant steps
         b = p * (1.0 - p)
         jac = b * cnt + np.diag(b @ cnt - 2.0 * np.diagonal(b))
         step, ridged = _solve_step(jac, r)
         ridge_used = ridge_used or ridged
         eta = 1.0
-        improved = False
         for _ in range(31):
             ell_try = ell - eta * step
             p_try, r_try, res_try = _class_residual(ell_try, dc, cnt)
             if res_try < res:
-                improved = True
                 break
             eta *= 0.5
-        if not improved:
-            stalled = True
+        else:  # the line search stalled: the loop's only early exit
             break
         ell, p, r, res = ell_try, p_try, r_try, res_try
         history.append(res)
-        iterations += 1
 
+    iterations = len(history) - 1
     converged = res <= EPS
     logits[active] = ell[cls]
     full = _prob_from_logits(logits)
@@ -185,7 +180,7 @@ def fit_odds_product(d: np.ndarray) -> tuple[np.ndarray, ProbMatrix, FitReport]:
         ridge_used=ridge_used,
     )
     if not converged:
-        reason = "line search stalled" if stalled else f"MAX_ITER={MAX_ITER} reached"
+        reason = "line search stalled" if iterations < MAX_ITER else f"MAX_ITER={MAX_ITER} reached"
         raise FitConvergenceError(
             f"degree fit did not converge ({reason}, residual {res:.3e} > {EPS:g}); "
             "the target sequence may not be graphical",

@@ -146,9 +146,8 @@ def sample(p: ProbMatrix, seed: int) -> Graph:
     order of the upper triangle; the pair is an edge iff draw < P[i, j].
     """
     n = p.n
-    upper = ~np.tri(n, dtype=bool)
-    hit = np.zeros((n, n), bool)
-    hit[upper] = make_rng(seed).random(n * (n - 1) // 2) < p.mat[upper]
+    hit = ~np.tri(n, dtype=bool)  # the upper-triangle mask becomes the edge mask
+    hit[hit] = make_rng(seed).random(n * (n - 1) // 2) < p.mat[hit]
     return Graph.from_pairs(n, *np.divmod(np.flatnonzero(hit), n))
 
 

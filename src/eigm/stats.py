@@ -179,15 +179,16 @@ def fit_power_law(d: np.ndarray) -> PowerLawFit | None:
     vals = np.asarray(d, dtype=np.float64)
     vals = np.sort(vals[vals > 0])
     best: PowerLawFit | None = None
-    for x_min in np.unique(vals):
-        tail = vals[vals >= x_min]
+    distinct, first = np.unique(vals, return_index=True)
+    for c, x_min in enumerate(distinct):
+        tail = vals[first[c]:]  # vals is sorted, so each tail is a suffix
         n_tail = tail.size
         if n_tail < _MIN_TAIL or tail[-1] == tail[0]:
             continue
         alpha = 1.0 + n_tail / float(np.log(tail / (x_min - 0.5)).sum())
         if not math.isfinite(alpha) or alpha <= 1.0:
             continue
-        xs = np.unique(tail)
+        xs = distinct[c:]
         emp_cdf = np.searchsorted(tail, xs, side="right") / n_tail
         model_cdf = 1.0 - scipy.special.zeta(alpha, xs + 1.0) / scipy.special.zeta(
             alpha, x_min

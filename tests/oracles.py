@@ -1,5 +1,6 @@
 """Slow, loop-based reference implementations of the graph and statistics
-kernels, Pearson correlation from centred sums, the dense odds-product P
+kernels, Pearson correlation from centred sums, the power-law tail fit
+with a fresh tail mask per cutoff, the dense odds-product P
 and node-level fit, the exact and matrix-power trace k-cycle counts, the
 text-format reader, the edge-list writer, the clustered graph and the
 pairwise empirical overlap, index-array statements of the sampler, the
@@ -19,11 +20,12 @@ and serve as oracles for the property tests in ``test_oracles.py``.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
-from scipy.special import expit
+from scipy.special import expit, zeta
 
 from eigm import oddsproduct
 from eigm.graphs import Graph, degrees
@@ -36,6 +38,7 @@ from eigm.oddsproduct import (
 )
 from eigm.probmatrix import ProbMatrix, ZeroVolumeError, _check_dense_cap, to_dense, volume
 from eigm.rng import make_rng
+from eigm.stats import _MIN_TAIL, PowerLawFit
 
 
 def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
@@ -210,6 +213,34 @@ def assortativity(g: Graph) -> float:
     return pearson(
         np.concatenate([d[e[:, 0]], d[e[:, 1]]]), np.concatenate([d[e[:, 1]], d[e[:, 0]]])
     )
+
+
+def fit_power_law(d: np.ndarray) -> PowerLawFit | None:
+    """Each distinct positive degree as x_min in turn: mask its tail, take
+    the tail's distinct values afresh, and keep the smallest KS distance.
+    Same contract as :func:`eigm.stats.fit_power_law`."""
+    vals = np.asarray(d, dtype=np.float64)
+    vals = np.sort(vals[vals > 0])
+    best: PowerLawFit | None = None
+    for x_min in np.unique(vals):
+        tail = vals[vals >= x_min]
+        n_tail = tail.size
+        if n_tail < _MIN_TAIL or tail[-1] == tail[0]:
+            continue
+        alpha = 1.0 + n_tail / float(np.log(tail / (x_min - 0.5)).sum())
+        if not math.isfinite(alpha) or alpha <= 1.0:
+            continue
+        xs = np.unique(tail)
+        emp_cdf = np.searchsorted(tail, xs, side="right") / n_tail
+        model_cdf = 1.0 - zeta(alpha, xs + 1.0) / zeta(alpha, x_min)
+        ks = float(np.abs(emp_cdf - model_cdf).max())
+        if not math.isfinite(ks):
+            continue
+        if best is None or ks < best.ks_distance:
+            best = PowerLawFit(
+                alpha=float(alpha), x_min=int(x_min), ks_distance=ks, n_tail=n_tail
+            )
+    return best
 
 
 def prob_from_logits(logits: np.ndarray) -> np.ndarray:

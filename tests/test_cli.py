@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import eigm.cli
 from eigm.cli import build_parser, main
@@ -499,3 +501,114 @@ def test_importing_the_cli_leaves_scipy_spatial_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# A drawn flag value is an edge value or, as often, a small valid one.
+# Counts never take 2**63, which is a valid count of requested work, so
+# every valid count stays at most 3; sizes add ones that a cap refuses
+# before any work (25 for the embedding, 10**8 for the dense cap).
+_EDGE = ["-1", "0", str(2**63), "1e308", "nan", "inf", "-inf", "0.5", "", "x"]
+_INPUTS = {
+    "tri.edges": "0 1\n1 2\n2 0\n2 3\n",
+    "empty.edges": "",
+    "word.edges": "0 x\n",
+    "wide.edges": "0 1 2 3\n",
+    "negative.edges": "-1 2\n",
+    "loop.edges": "0 0\n",
+    "hugeid.edges": f"0 {2**63}\n1 0\n",
+    "ok.pmat": "n=4\n0 1 0.5\n1 2 0.25\n2 3 1\n",
+    "zero.pmat": "n=3\n",
+    "capped.pmat": "n=100000000\n0 1 0.5\n",
+    "word.pmat": "n=3\n0 x 0.5\n",
+    "nan.pmat": "n=3\n0 1 nan\n",
+    "headless.pmat": "0 1 0.5\n",
+    "badheader.pmat": "n=x\n",
+    "ok.cfg": "input = tri.edges\nsamples = 2\n[linear]\nomega = 0.5\n[tsvd]\nrank = 2\n",
+    "nan.cfg": "[ccop]\nomega = nan, inf\n[hdop]\nh = -1 1e308\n",
+    "section.cfg": "[nope]\nomega = 1\n",
+    "samples.cfg": "samples = x\n[linear]\nomega = 0.5\n",
+    "zero.cfg": "samples = 0\n[linear]\nomega = 0.5\n",
+    "emptygrid.cfg": "[linear]\nomega =\n",
+    "junk.cfg": "junk line\n",
+    "missing.cfg": "input = missing.edges\n[hdop]\nh = 2\n",
+}
+
+
+def _value(*valid, edge=_EDGE):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(edge))
+
+
+_COUNT = _value("1", "2", "3", edge=[v for v in _EDGE if v != str(2**63)])
+_SIZE = _value("3", "12", "25", str(10**8))
+_SEED = _value("0", "7")
+
+
+def _flag(name, values):
+    """``[name, value]`` or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _path(suffix):
+    """An input file of that kind, or as often a wrong, missing or directory path."""
+    return _value(*(k for k in _INPUTS if k.endswith(suffix)), edge=["missing", ".", "ok.cfg"])
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv for one subcommand; paths are relative to the working directory."""
+    out = ["--output-dir", "out"]
+    command = draw(st.sampled_from(
+        ["ingest", "fit", "sample", "stats", "sweep", "verify", "cell-verify"]
+    ))
+    if command in ("ingest", "fit"):
+        return [command, "--input", draw(_path(".edges")), *out]
+    if command == "sample":
+        return ["sample", "--input", draw(_path(".pmat")), *out,
+                *draw(_flag("--samples", _COUNT)), *draw(_flag("--seed", _SEED))]
+    if command == "stats":
+        ref = draw(_path(".edges"))
+        return ["stats", "--reference", ref, "--sample", draw(_value(ref, edge=list(_INPUTS))),
+                *draw(_flag("--output", st.just("out.csv")))]
+    if command == "sweep":
+        if draw(st.booleans()):
+            source = ["--config", draw(_path(".cfg"))]
+        else:
+            kind, knob = draw(st.sampled_from(
+                [("linear", "--omega"), ("ccop", "--omega"), ("hdop", "--h"), ("tsvd", "--rank")]
+            ))
+            source = ["--model", kind, knob, draw(_value("0.25", "1, 2")),
+                      "--input", draw(_path(".edges"))]
+        return ["sweep", *source, *out, "--samples", draw(_COUNT),
+                *draw(_flag("--seed", _SEED)), *draw(st.sampled_from([[], ["--plot"]]))]
+    if command == "verify":
+        knob = st.one_of(  # either knob may come with any theorem
+            st.just([]),
+            _value("0.1", "1").map(lambda v: ["--gamma", v]),
+            _value("3", "6", edge=_EDGE + ["2", "7"]).map(lambda v: ["--k", v]),
+        )
+        return ["verify", "--theorem", draw(_value("tri", "kcycle", "cc")),
+                "--trials", draw(_COUNT), *draw(_flag("--n", _SIZE)), *draw(knob),
+                *draw(_flag("--seed", _SEED)), *draw(_flag("--output", st.just("out.csv")))]
+    return ["cell-verify", "--trials", draw(_COUNT), *draw(_flag("--n", _SIZE)),
+            *draw(_flag("--max-degree", _value("2", "3", str(2**63)))),
+            *draw(_flag("--scale", _value("1e4", "10"))), *draw(_flag("--seed", _SEED))]
+
+
+@given(argv=_cli_argv())
+@settings(max_examples=300, deadline=1000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_contract_holds_on_drawn_argv(argv, tmp_path, monkeypatch, capsys):
+    # every outcome is an exit code of 0, 1 or 2; a failure is one stderr
+    # line; nothing but SystemExit (argparse's usage error) leaves main
+    monkeypatch.chdir(tmp_path)
+    for name, text in _INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    if code != 0:
+        assert len(err.splitlines()) == 1, (argv, err)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigm.graphs import (
@@ -14,6 +14,7 @@ from eigm.graphs import (
     serialize_edge_list,
 )
 
+import oracles
 from conftest import small_graphs
 
 
@@ -128,6 +129,8 @@ def upper_pair_lists(draw):
 
 
 @given(upper_pair_lists())
+@example((1, []))
+@example((5, []))
 @settings(max_examples=200, deadline=None)
 def test_from_pairs_raises_iff_a_pair_repeats(case):
     n, pairs = case
@@ -136,8 +139,11 @@ def test_from_pairs_raises_iff_a_pair_repeats(case):
     if len(set(pairs)) < len(pairs):
         with pytest.raises(ValueError, match="duplicate pairs"):
             Graph.from_pairs(n, us, vs)
-    else:
-        assert Graph.from_pairs(n, us, vs) == Graph.from_edges(n, pairs)
+        return
+    g = Graph.from_pairs(n, us, vs)
+    assert g == oracles.from_edges(n, pairs)  # the CSR filled by hand
+    for arr in (g.indptr, g.indices):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 def test_load_edge_list(tmp_path):

@@ -134,6 +134,15 @@ def test_fit_infeasible_raises_with_report():
     report = exc.value.report
     assert not report.converged
     assert len(report.residual_history) >= 1
+    assert "line search stalled" in str(exc.value)
+
+
+def test_fit_stops_at_max_iter(monkeypatch, star4):
+    # star4 takes 14 steps at the default limit (cycle5 is met at ell = 0 and takes none)
+    monkeypatch.setattr(oddsproduct, "MAX_ITER", 1)
+    with pytest.raises(FitConvergenceError, match="MAX_ITER=1 reached") as exc:
+        fit_odds_product(degrees(star4))
+    assert exc.value.report.iterations == 1
 
 
 def test_fit_nongraphical_but_feasible_expected_degrees():

@@ -1,5 +1,6 @@
 """Property tests: the sparse/vectorized kernels equal the loop oracles, the
 degree-class odds-product fit equals the node-level Newton fit, the
+power-law fit that reads each tail as a suffix equals the per-cutoff one, the
 once-per-cycle k-cycle count equals the ordered-tuple sum, the masked
 sampler, text writer, random matrix and volume shift equal their
 index-array oracles, the keyed clustered graph, empirical overlap and
@@ -205,6 +206,28 @@ def test_correlations_match_the_pearson_oracle(pair):
 
 
 @st.composite
+def zipf_degrees(draw):
+    """Heavy-tailed degrees: a Zipf draw of 1-300 entries, exponent 1.5-4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.zipf(draw(st.floats(1.5, 4.0)), size=draw(st.integers(1, 300)))
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 40), max_size=60).map(np.array),  # zeros
+        st.tuples(st.integers(0, 9), st.integers(0, 60)).map(lambda t: np.full(t[1], t[0])),
+        st.lists(st.integers(0, 20), max_size=9).map(np.array),  # below _MIN_TAIL
+        zipf_degrees(),
+    )
+)
+@example(np.array([], dtype=np.int64))
+@settings(max_examples=300, deadline=None)
+def test_fit_power_law_matches_the_per_cutoff_oracle(d):
+    # equal fits, or None on both sides
+    assert stats.fit_power_law(d) == oracles.fit_power_law(d)
+
+
+@st.composite
 def corrupted_graphs(draw):
     """A valid graph whose CSR arrays had one neighbor id overwritten."""
     g = draw(graphs(max_n=8).filter(lambda g: g.m > 0))
@@ -308,6 +331,8 @@ def test_class_fit_matches_node_oracle(d):
     # test_class_fit_needs_no_ridge_on_two_equal_degrees).
     slow = _fit_outcome(oracles.fit_odds_product, d)
     fast = _fit_outcome(fit_odds_product, d)
+    report = fast.report if isinstance(fast, FitConvergenceError) else fast[2]
+    assert report.iterations == len(report.residual_history) - 1  # converged or not
     if isinstance(slow, FitConvergenceError):
         assert isinstance(fast, FitConvergenceError)
         return

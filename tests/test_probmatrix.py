@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from eigm.probmatrix import (
 from eigm.bounds import er_construction
 
 from conftest import complete_graph, pair_overlap_mean, prob_matrices
+from oracles import random_probmatrix
 
 
 def brute_force_expected_triangles(p: ProbMatrix) -> float:
@@ -220,6 +222,20 @@ def test_sample_draw_order_contract():
         expect = {(1, 2)} if u[3] < 0.5 else set()
         got = {(int(a), int(b)) for a, b in g.edge_array()}
         assert got == expect
+
+
+def test_sample_peaks_below_ten_n_squared_bytes():
+    # the upper-triangle mask doubles as the edge mask: one n x n bool array
+    # beside the draws and the gathered probabilities (about 9.5 n^2 bytes)
+    n = 600
+    p = random_probmatrix(n, 0)
+    tracemalloc.start()
+    try:
+        sample(p, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n**2
 
 
 def test_sample_edge_count_moments():
