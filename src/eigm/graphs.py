@@ -77,10 +77,7 @@ class Graph:
         a = np.asarray(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
-        sym = (a != 0) | (a != 0).T
-        np.fill_diagonal(sym, False)
-        us, vs = np.nonzero(np.triu(sym, 1))
-        return cls.from_pairs(a.shape[0], us, vs)
+        return cls.from_edges(a.shape[0], np.argwhere(a != 0))
 
     @classmethod
     def from_pairs(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
@@ -227,23 +224,18 @@ def degrees(g: Graph) -> np.ndarray:
 
 
 def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
-    """Component count and per-node labels numbered by smallest member."""
-    k, labels = scipy.sparse.csgraph.connected_components(
-        g.to_csr(np.int8), directed=False
-    )
-    # csgraph does not document its label order, so renumber explicitly
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(k, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(k)
-    return k, rank[inverse]
+    """Component count and per-node labels, as ``scipy.sparse.csgraph``
+    returns them; the label order is csgraph's and undocumented."""
+    return scipy.sparse.csgraph.connected_components(g.to_csr(np.int8), directed=False)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted node lists, ordered by smallest member."""
-    k, labels = _component_labels(g)
+    _, labels = _component_labels(g)
     order = np.argsort(labels, kind="stable")
-    bounds = np.cumsum(np.bincount(labels, minlength=k))[:-1]
-    return [c.tolist() for c in np.split(order, bounds)]
+    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    # first members are distinct, so list order is the smallest-member order
+    return sorted(c.tolist() for c in groups)
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -254,7 +246,8 @@ def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     holds, for each new dense index, the id that node had in ``g``.
     """
     _, labels = _component_labels(g)
-    best = int(np.argmax(np.bincount(labels)))  # first maximum: smallest id
+    size = np.bincount(labels)[labels]  # size of each node's component
+    best = labels[np.argmax(size)]  # first maximum: smallest id, any label order
     keep = labels == best
     nodes = np.flatnonzero(keep)
     new_index = np.cumsum(keep) - 1

@@ -10,7 +10,7 @@ no wedges, too few tail points) are reported as NaN markers, never as 0.
 The graph kernels are exact integer ``scipy.sparse`` algebra on the CSR
 adjacency: triangles from row blocks of ``(A @ A) * A``, path lengths from
 a BFS whose levels are boolean products of a bit-packed frontier block
-with the adjacency, and connectivity from ``scipy.sparse.csgraph``.
+with the adjacency, and connectivity from ``graphs._component_labels``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 import scipy.special
 
-from .graphs import Graph, degrees, largest_connected_component
+from .graphs import Graph, _component_labels, degrees, largest_connected_component
 
 __all__ = [
     "StatsRecord",
@@ -226,9 +224,7 @@ def char_path_length(g: Graph) -> float:
     """
     if g.n == 1:
         return float("nan")
-    if scipy.sparse.csgraph.connected_components(
-        g.to_csr(np.int8), directed=False, return_labels=False
-    ) != 1:
+    if _component_labels(g)[0] != 1:
         raise DisconnectedGraphError(
             "graph is disconnected; apply largest_connected_component first"
         )
@@ -283,7 +279,7 @@ def compare(reference: Graph, generated: Graph) -> StatsRecord:
 
     return StatsRecord(
         degree_pearson=_pearson(d_ref, d_gen),
-        max_degree=int(d_gen.max()) if generated.n else 0,
+        max_degree=int(d_gen.max()),
         powerlaw_alpha=powerlaw_alpha(d_gen),
         assortativity=assortativity(generated),
         triangle_pearson=_pearson(t_ref, t_gen),

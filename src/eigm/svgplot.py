@@ -54,7 +54,7 @@ def _panel(stat, rows_by_model, ref_value, x0, y0, color_of):
             f'<text x="{left - 4}" y="{py(val) + 3:.1f}" text-anchor="end" '
             f'font-size="9">{val:.3g}</text>'
         )
-    if math.isfinite(ref_value) and lo <= ref_value <= hi:
+    if math.isfinite(ref_value):
         y = py(ref_value)
         out.append(
             f'<line x1="{left}" y1="{y:.1f}" x2="{left + width}" y2="{y:.1f}" '

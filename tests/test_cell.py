@@ -130,6 +130,8 @@ def test_cell_symmetrize_rejects_bad_input():
     reducible = np.eye(3)
     with pytest.raises(ValueError):
         cell_symmetrize(reducible)
+    with pytest.raises(ValueError, match=r"^P\* must be square$"):
+        cell_symmetrize(np.full((2, 3), 1 / 3))
 
 
 def test_embedding_single_edge():

@@ -385,6 +385,13 @@ def test_full_pipeline_chain(tmp_path, capsys):
     assert len(row[1].split(",")) == 8
 
 
+def test_sweep_without_an_input_is_one_line_error(capsys):
+    assert main(["sweep", "--model", "linear", "--omega", "0.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: no input edge list given (flag --input or config key)\n"
+    )
+
+
 def test_sweep_single_model_flags(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("0 1\n1 2\n2 0\n0 3\n3 4\n", encoding="utf-8")
@@ -433,6 +440,19 @@ def test_sweep_failure_at_any_stage_is_a_marked_row(tmp_path, capsys):
     assert len(rows) == 10
     assert sum(",error[build]: " in row for row in rows) == 5
     assert sum(row.endswith("error[overlap]: overlap undefined: volume is zero") for row in rows) == 5
+
+
+def test_sweep_tsvd_on_a_one_node_graph_is_an_error_row(tmp_path, capsys):
+    edges = tmp_path / "loop.edges"
+    edges.write_text("5 5\n", encoding="utf-8")
+    rc = main(["sweep", "--model", "tsvd", "--rank", "1", "--input", str(edges),
+               "--output-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "all grid points failed\n"
+    with open(tmp_path / "o" / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 1
+    assert rows[0][-1] == "error[build]: tsvd model undefined for an empty graph"
 
 
 def test_sweep_error_rows_keep_the_header_width(tmp_path, capsys):

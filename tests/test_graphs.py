@@ -101,6 +101,38 @@ def test_components_order():
     assert comps == [[0, 4], [1, 3], [2]]
 
 
+@st.composite
+def square_arrays(draw):
+    """n x n arrays, n >= 1, of bool, int or float values: negative values,
+    asymmetric entries and a nonzero diagonal included."""
+    n = draw(st.integers(1, 8))
+    value = st.sampled_from([0, 0, 1, -1, 0.5, 2])
+    values = draw(st.lists(value, min_size=n * n, max_size=n * n))
+    dtype = draw(st.sampled_from([np.bool_, np.int64, np.float64]))
+    return np.array(values).reshape(n, n).astype(dtype)
+
+
+@given(square_arrays())
+@settings(max_examples=100, deadline=None)
+def test_from_adjacency_matches_oracle(a):
+    n = a.shape[0]
+    pairs = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if a[i, j] != 0 or a[j, i] != 0
+    ]
+    assert Graph.from_adjacency(a) == oracles.from_edges(n, pairs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph.from_adjacency(np.zeros((0, 0))), "^graph must have at least one node$"),
+    (lambda: Graph.from_adjacency(np.zeros((2, 3))), "^adjacency must be square$"),
+    (lambda: Graph.from_adjacency(np.zeros(4)), "^adjacency must be square$"),
+    (lambda: Graph.from_edges(3, [(0, 1, 2)]), r"^edges must be \(u, v\) pairs$"),
+], ids=["adjacency_0x0", "adjacency_2x3", "adjacency_1d", "edge_triple"])
+def test_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_serialize_header_and_round_trip(cycle5):
     text = serialize_edge_list(cycle5)
     assert text.splitlines()[0] == "# n=5 m=5"

@@ -124,6 +124,8 @@ def test_fit_rejects_bad_input():
         fit_odds_product(np.array([5, 1, 1]))  # degree > n-1
     with pytest.raises(ValueError):
         fit_odds_product(np.array([-1, 1]))
+    with pytest.raises(ValueError, match="^degree sequence must be a nonempty vector$"):
+        fit_odds_product(np.array([]))
 
 
 def test_fit_infeasible_raises_with_report():

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,13 @@ from eigm.probmatrix import (
     to_dense,
     volume,
 )
-from eigm.stats import char_path_length, compare, global_clustering, triangle_counts
+from eigm.stats import (
+    DisconnectedGraphError,
+    char_path_length,
+    compare,
+    global_clustering,
+    triangle_counts,
+)
 from eigm.synth import (
     clustered_graph,
     powerlaw_configuration_graph,
@@ -158,6 +165,40 @@ def test_char_path_length_matches_dijkstra(g):
         assert math.isnan(char_path_length(lcc))
     else:
         assert char_path_length(lcc) == oracles.char_path_length(lcc)
+
+
+def _reversed_labels(connected_components):
+    """``connected_components`` with its component labels numbered backwards."""
+
+    def reversed_(*args, return_labels=True, **kwargs):
+        k, labels = connected_components(*args, **kwargs)
+        return (k, k - 1 - labels) if return_labels else k
+
+    return reversed_
+
+
+@given(st.one_of(graphs(), equal_size_components()))
+@settings(max_examples=100, deadline=None)
+def test_components_do_not_depend_on_csgraph_label_order(g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            scipy.sparse.csgraph, "connected_components",
+            _reversed_labels(scipy.sparse.csgraph.connected_components),
+        )
+        comps = connected_components(g)
+        lcc, id_map = largest_connected_component(g)
+        cpl = char_path_length(lcc)
+        if len(comps) > 1:
+            with pytest.raises(DisconnectedGraphError):
+                char_path_length(g)
+    assert comps == oracles.connected_components(g)
+    lcc_ref, id_map_ref = oracles.largest_connected_component(g)
+    _assert_same_graph(lcc, lcc_ref)
+    assert id_map == id_map_ref
+    if lcc.n == 1:
+        assert math.isnan(cpl)
+    else:
+        assert cpl == oracles.char_path_length(lcc)
 
 
 @given(graphs())

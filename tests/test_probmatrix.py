@@ -85,6 +85,10 @@ def test_constructor_validation():
         ProbMatrix.from_array([[0.0, 1.5], [1.5, 0.0]])
     with pytest.raises(ValueError):
         ProbMatrix.from_array([[0.0, 0.2], [0.3, 0.0]])
+    with pytest.raises(ValueError, match="^probability matrix must be square$"):
+        ProbMatrix.from_array(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^probability matrix must be nonempty$"):
+        ProbMatrix.from_array(np.zeros((0, 0)))
     with pytest.warns(UserWarning):
         p = ProbMatrix.from_array([[0.5, 0.2], [0.2, 0.5]])
     assert np.all(np.diagonal(p.mat) == 0.0)
@@ -323,6 +327,8 @@ def test_kcycles_exact_examples():
     assert expected_kcycles_exact(er, 4) == pytest.approx(0.0625 * 45)
     with pytest.raises(ValueError):
         expected_kcycles_exact(er_construction(15, 0.5), 4)
+    with pytest.raises(ValueError, match="^k must be >= 3$"):
+        expected_kcycles_exact(er, 2)
 
 
 @given(prob_matrices(max_n=8))

@@ -39,6 +39,12 @@ def test_bounded_degree_graph_dmax_one():
         random_bounded_degree_graph(5, 1, seed=0)
 
 
+@pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, float("nan")])
+def test_random_probmatrix_rejects_scale_outside_unit_interval(scale):
+    with pytest.raises(ValueError, match=r"^scale must be in \(0, 1\]$"):
+        random_probmatrix(4, 0, scale)
+
+
 def test_random_probmatrix_peak_memory():
     # the result, the draws and an n x n boolean mask; from_array makes no copy
     n = 1000
