@@ -59,18 +59,6 @@ class BoundReport:
     def ratio(self) -> float:
         return self.lhs / self.rhs
 
-    def csv_row(self) -> str:
-        fields = [
-            self.theorem,
-            self.mode,
-            repr(float(self.lhs)),
-            repr(float(self.rhs)),
-            repr(float(self.ratio)),
-            str(self.holds),
-            repr(float(self.std_err)),
-        ]
-        return ",".join(fields)
-
 
 def _ov_times_vol(p: ProbMatrix) -> float:
     if volume(p) <= 0.0:

@@ -11,6 +11,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import check_cc_tightness, check_kcycle_bound, check_triangle_bound
 from .cell import EMBED_NODE_CAP, vandermonde_embedding, verify_embedding
 from .graphs import (
@@ -32,12 +34,8 @@ from .sweep import (
     parse_config,
     reference_record,
     run_sweep,
-    sweep_csv_header,
 )
 from .synth import random_bounded_degree_graph, random_probmatrix
-
-BOUND_CSV_HEADER = "theorem,mode,lhs,rhs,ratio,holds,std_err"
-CELL_CSV_HEADER = "n,max_degree,rank_bound,numerical_rank,max_error"
 
 
 def _load_preprocessed(path):
@@ -53,6 +51,23 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _csv(header, rows) -> str:
+    """Every table eigm writes, as CSV text with a newline after each line.
+    A float is ``repr(float(v))``, so it reads back bit for bit (``nan`` if
+    undefined); an integer is written in full; a bool is True or False."""
+
+    def cell(v) -> str:
+        if isinstance(v, str):  # RFC 4180: quote a cell holding , " or a line break
+            return '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n') else v
+        if isinstance(v, (bool, np.bool_)):  # before int: a bool is an int
+            return str(bool(v))
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in (header, *rows))
 
 
 def _write_or_print(text: str, output: str | None) -> None:
@@ -71,10 +86,8 @@ def cmd_ingest(args) -> int:
     (out_dir / f"{stem}_normalized.edges").write_text(
         serialize_edge_list(g), encoding="utf-8"
     )
-    map_lines = ["dense_index,original_id"]
-    map_lines += [f"{i},{orig}" for i, orig in enumerate(id_map)]
     (out_dir / f"{stem}_idmap.csv").write_text(
-        "\n".join(map_lines) + "\n", encoding="utf-8"
+        _csv(("dense_index", "original_id"), enumerate(id_map)), encoding="utf-8"
     )
     def plural(k: int, word: str) -> str:
         return f"{k} {word}" + ("" if k == 1 else "s")
@@ -92,9 +105,8 @@ def cmd_fit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     save_probmatrix(p, out_dir / f"{stem}.pmat")
-    trace = ["iteration,residual"]
-    trace += [f"{i},{r!r}" for i, r in enumerate(report.residual_history)]
-    (out_dir / f"{stem}_fit.csv").write_text("\n".join(trace) + "\n", encoding="utf-8")
+    trace = _csv(("iteration", "residual"), enumerate(report.residual_history))
+    (out_dir / f"{stem}_fit.csv").write_text(trace, encoding="utf-8")
     print(
         f"converged in {report.iterations} iterations, "
         f"max degree error {report.final_max_abs_error:.3e}"
@@ -119,8 +131,7 @@ def cmd_stats(args) -> int:
     ref, _ = load_edge_list(args.reference)
     gen, _ = load_edge_list(args.sample)
     record = compare(ref, gen)
-    text = ",".join(STAT_COLUMNS) + "\n" + record.to_csv_row() + "\n"
-    _write_or_print(text, args.output)
+    _write_or_print(_csv(STAT_COLUMNS, [record.as_tuple()]), args.output)
     return 0
 
 
@@ -154,8 +165,12 @@ def cmd_sweep(args) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    lines = [sweep_csv_header()] + [r.csv_row() for r in rows]
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stat_cols = [f"{c}_{s}" for c in STAT_COLUMNS for s in ("mean", "std")]
+    header = ("model", "knob", "overlap_expected", "overlap_empirical", *stat_cols, "status")
+    table = [(r.model, r.knob, r.overlap_expected, r.overlap_empirical,
+              *(d[c] for c in STAT_COLUMNS for d in (r.means, r.stds)), r.status)
+             for r in rows]
+    csv_path.write_text(_csv(header, table), encoding="utf-8")
     print(f"wrote {csv_path} ({len(ok)}/{len(rows)} points ok)")
     if config.plot:
         svg_path = out_dir / "sweep.svg"
@@ -191,9 +206,10 @@ def cmd_verify(args) -> int:
                 reports.append(check_triangle_bound(p))
             else:
                 reports.append(check_kcycle_bound(p, args.k))
-    lines = [BOUND_CSV_HEADER] + [r.csv_row() for r in reports]
+    header = ("theorem", "mode", "lhs", "rhs", "ratio", "holds", "std_err")
+    table = [(r.theorem, r.mode, r.lhs, r.rhs, r.ratio, r.holds, r.std_err) for r in reports]
     held = sum(r.holds for r in reports)
-    _write_or_print("\n".join(lines) + "\n", args.output)
+    _write_or_print(_csv(header, table), args.output)
     print(f"{held}/{len(reports)} hold")
     return 0 if held == len(reports) else 1
 
@@ -203,7 +219,7 @@ def cmd_cell_verify(args) -> int:
     _check_dense_cap(args.n)
     if args.n > EMBED_NODE_CAP:
         raise ValueError(f"embedding capped at n <= {EMBED_NODE_CAP}")
-    lines = [CELL_CSV_HEADER]
+    table = []
     for t in range(args.trials):
         g = random_bounded_degree_graph(
             args.n, args.max_degree, derive_seed(args.seed, "cell-verify", t)
@@ -211,8 +227,9 @@ def cmd_cell_verify(args) -> int:
         w = vandermonde_embedding(g, scale=args.scale)
         max_error, numerical_rank = verify_embedding(g, w)
         dmax = int(degrees(g).max())
-        lines.append(f"{g.n},{dmax},{2 * dmax + 1},{numerical_rank},{max_error!r}")
-    _write_or_print("\n".join(lines) + "\n", args.output)
+        table.append((g.n, dmax, 2 * dmax + 1, numerical_rank, max_error))
+    header = ("n", "max_degree", "rank_bound", "numerical_rank", "max_error")
+    _write_or_print(_csv(header, table), args.output)
     return 0
 
 

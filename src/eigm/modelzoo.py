@@ -47,8 +47,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        # sample seeds hash repr(knob): 4 and 4.0 must draw the same samples
-        object.__setattr__(self, "knob", float(self.knob))
+        # sample seeds hash repr(knob): 4 and 4.0 must draw the same samples,
+        # and so must -0.0 and 0.0 (adding +0.0 turns -0.0 into 0.0)
+        object.__setattr__(self, "knob", float(self.knob) + 0.0)
 
 
 def linear_model(a: Graph, omega: float) -> ProbMatrix:

@@ -67,12 +67,6 @@ class StatsRecord:
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, c) for c in STAT_COLUMNS)
 
-    def to_csv_row(self) -> str:
-        return ",".join(
-            str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
-            for v in self.as_tuple()
-        )
-
 
 STAT_COLUMNS = tuple(f.name for f in fields(StatsRecord))
 

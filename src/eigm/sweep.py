@@ -30,7 +30,6 @@ __all__ = [
     "SweepRow",
     "parse_config",
     "run_sweep",
-    "sweep_csv_header",
     "reference_record",
 ]
 
@@ -64,25 +63,6 @@ class SweepRow:
     means: dict[str, float] = field(repr=False)
     stds: dict[str, float] = field(repr=False)
     status: str = "ok"
-
-    def csv_row(self) -> str:
-        nan = float("nan")
-        values = [self.knob, self.overlap_expected, self.overlap_empirical]
-        for c in STAT_COLUMNS:
-            values += [self.means.get(c, nan), self.stds.get(c, nan)]
-        status = self.status
-        if any(c in status for c in ',"\r\n'):  # RFC 4180: quote, double the quotes
-            status = '"' + status.replace('"', '""') + '"'
-        return ",".join([self.model, *(repr(float(v)) for v in values), status])
-
-
-def sweep_csv_header() -> str:
-    cols = ["model", "knob", "overlap_expected", "overlap_empirical"]
-    for c in STAT_COLUMNS:
-        cols.append(f"{c}_mean")
-        cols.append(f"{c}_std")
-    cols.append("status")
-    return ",".join(cols)
 
 
 def _parse_grid(raw: str, kind: str) -> list[float]:

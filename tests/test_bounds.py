@@ -10,6 +10,7 @@ from eigm.bounds import (
     check_triangle_bound,
     er_construction,
 )
+from eigm.cli import main
 from eigm.graphs import Graph
 from eigm.probmatrix import (
     ProbMatrix,
@@ -165,10 +166,15 @@ def test_kcycle_tightness_theta_in_n():
             assert limit_const / 4 <= r <= limit_const * 4
 
 
-def test_bound_report_csv():
+def test_bound_report_csv(tmp_path, monkeypatch, capsys):
     report = check_triangle_bound(er_construction(8, 0.4))
-    row = report.csv_row()
+    # the row `eigm verify` writes for this report
+    monkeypatch.setattr("eigm.cli.check_triangle_bound", lambda p: report)
+    out = tmp_path / "tri.csv"
+    assert main(["verify", "--theorem", "tri", "--trials", "1", "--output", str(out)]) == 0
+    header, row = out.read_text(encoding="utf-8").splitlines()
     fields = row.split(",")
+    assert len(fields) == len(header.split(","))
     assert fields[0] == "triangles"
     assert fields[1] == "exact-trace"
     assert fields[5] == "True"

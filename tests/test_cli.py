@@ -1,6 +1,9 @@
 import csv
+import io
+import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 import time
@@ -13,9 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eigm.cli
-from eigm.cli import build_parser, main
+from eigm.bounds import BoundReport
+from eigm.cli import _csv, build_parser, main
 from eigm.graphs import parse_edge_list
 from eigm.probmatrix import load_probmatrix
+from eigm.stats import STAT_COLUMNS, StatsRecord
+from eigm.sweep import SweepRow
 
 
 @pytest.fixture
@@ -510,6 +516,115 @@ def test_ingest_idmap_maps_lcc_to_original_ids(tmp_path):
     assert idmap == ["dense_index,original_id", "0,7", "1,25", "2,40", "3,90"]
     g, _ = parse_edge_list((tmp_path / "gappy_normalized.edges").read_text())
     assert g.edge_array().tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
+
+
+def test_csv_tables_are_pinned(tmp_path, monkeypatch, capsys):
+    # hand-built records, so no cell depends on the platform's BLAS
+    nan, inf = float("nan"), float("inf")
+    edges = tmp_path / "big.edges"
+    edges.write_text(f"{2**64 + 1} 5\n5 {2**63}\n", encoding="utf-8")
+    assert main(["ingest", "--input", str(edges), "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "big_idmap.csv").read_text(encoding="utf-8") == (
+        "dense_index,original_id\n0,5\n1,9223372036854775808\n2,18446744073709551617\n"
+    )
+
+    record = StatsRecord(-0.0, np.int64(7), 5e-324, nan, 1.0, 2**64, np.float64(0.1), inf)
+    monkeypatch.setattr(eigm.cli, "compare", lambda ref, gen: record)
+    capsys.readouterr()
+    assert main(["stats", "--reference", str(edges), "--sample", str(edges)]) == 0
+    assert capsys.readouterr().out == (
+        "degree_pearson,max_degree,powerlaw_alpha,assortativity,triangle_pearson,"
+        "triangle_count,clustering_coeff,char_path_length\n"
+        "-0.0,7,5e-324,nan,1.0,18446744073709551616,0.1,inf\n"
+    )
+
+    reports = iter([
+        BoundReport("triangles", "exact-trace", 0.25, 2.0, np.bool_(True)),
+        BoundReport("cc", "monte-carlo", 1e-320, inf, False, 5e-324),
+    ])
+    monkeypatch.setattr(eigm.cli, "check_triangle_bound", lambda p: next(reports))
+    out = tmp_path / "tri.csv"
+    assert main(["verify", "--theorem", "tri", "--n", "4", "--trials", "2",
+                 "--output", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == (
+        "theorem,mode,lhs,rhs,ratio,holds,std_err\n"
+        "triangles,exact-trace,0.25,2.0,0.125,True,nan\n"
+        "cc,monte-carlo,1e-320,inf,0.0,False,5e-324\n"
+    )
+
+    means = {**dict.fromkeys(STAT_COLUMNS, 0.5), "degree_pearson": nan,
+             "max_degree": inf, "assortativity": -inf, "triangle_count": 5e-324}
+    rows = [
+        SweepRow("linear", -0.0, 0.1, nan, means, dict.fromkeys(STAT_COLUMNS, -0.0),
+                 'error[sample]: a, "b"\r\nc'),
+        SweepRow("tsvd", 4.0, 1.0, 1 / 3, dict.fromkeys(STAT_COLUMNS, 2.0),
+                 dict.fromkeys(STAT_COLUMNS, nan)),
+    ]
+    monkeypatch.setattr(eigm.cli, "run_sweep", lambda *args: rows)
+    assert main(["sweep", "--model", "linear", "--omega", "0", "--input", str(edges),
+                 "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == (
+        b"model,knob,overlap_expected,overlap_empirical,"
+        b"degree_pearson_mean,degree_pearson_std,max_degree_mean,max_degree_std,"
+        b"powerlaw_alpha_mean,powerlaw_alpha_std,assortativity_mean,assortativity_std,"
+        b"triangle_pearson_mean,triangle_pearson_std,triangle_count_mean,"
+        b"triangle_count_std,clustering_coeff_mean,clustering_coeff_std,"
+        b"char_path_length_mean,char_path_length_std,status\n"
+        b"linear,-0.0,0.1,nan,nan,-0.0,inf,-0.0,0.5,-0.0,-inf,-0.0,0.5,-0.0,"
+        b'5e-324,-0.0,0.5,-0.0,0.5,-0.0,"error[sample]: a, ""b""\r\nc"\n'
+        b"tsvd,4.0,1.0,0.3333333333333333,2.0,nan,2.0,nan,2.0,nan,2.0,nan,2.0,nan,"
+        b"2.0,nan,2.0,nan,2.0,nan,ok\n"
+    )
+
+    cells = (np.bool_(False), np.int64(-3), np.float64(-0.0), np.uint64(2**64 - 1))
+    assert _csv(("a", "b", "c", "d"), [cells]) == "a,b,c,d\nFalse,-3,-0.0,18446744073709551615\n"
+
+
+# csv.reader rejects NUL before Python 3.11; surrogates cannot be written as UTF-8
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+_CELL = st.one_of(
+    _TEXT, st.booleans(), st.booleans().map(np.bool_), st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats(), st.floats().map(np.float64),
+)
+
+
+# At least two columns: a one-column row holding "" is an empty line, which
+# csv.reader reads as no fields; every table eigm writes has two or more.
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.lists(_TEXT, min_size=k, max_size=k),
+    st.lists(st.lists(_CELL, min_size=k, max_size=k), max_size=4),
+)))
+def test_csv_reads_back_exactly(table):
+    header, rows = table
+    text = _csv(header, rows)
+    assert text.endswith("\n")
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
+    assert parsed[0] == header and len(parsed) == len(rows) + 1
+    for row, fields in zip(rows, parsed[1:]):
+        assert len(fields) == len(header)
+        for v, field in zip(row, fields):
+            if isinstance(v, str):
+                assert field == v
+            elif isinstance(v, (bool, np.bool_)):
+                assert field == str(bool(v))
+            elif isinstance(v, (int, np.integer)):
+                assert int(field) == v
+            elif math.isnan(v):
+                assert math.isnan(float(field))
+            else:  # bit for bit, so -0.0 stays -0.0
+                assert struct.pack("<d", float(field)) == struct.pack("<d", v)
+
+
+def test_sweep_negative_zero_knob_writes_the_bytes_of_zero(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n0 5\n", encoding="utf-8")
+    written = []
+    for omega in ("-0", "0"):
+        out = tmp_path / f"out{omega}"
+        assert main(["sweep", "--model", "linear", "--omega", omega, "--samples", "3",
+                     "--input", str(edges), "--output-dir", str(out)]) == 0
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_importing_the_cli_leaves_scipy_spatial_unloaded():

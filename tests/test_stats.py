@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from eigm.cli import _csv
 from eigm.graphs import Graph, degrees
 from eigm.rng import make_rng
 from eigm.stats import (
+    STAT_COLUMNS,
     DisconnectedGraphError,
     StatsRecord,
     assortativity,
@@ -224,14 +226,15 @@ def test_compare_disconnected_sample_uses_lcc(cycle5):
 
 def test_stats_record_csv(k4_minus_edge):
     rec = compare(k4_minus_edge, k4_minus_edge)
-    row = rec.to_csv_row()
+    # the table `eigm stats` writes
+    header, row = _csv(STAT_COLUMNS, [rec.as_tuple()]).splitlines()
     fields = row.split(",")
     assert len(fields) == 8
     assert fields[0] == "1.0"
     assert fields[5] == "2"
     # undefined stats serialize as the literal "nan"
     empty_rec = compare(k4_minus_edge, Graph.from_edges(4, []))
-    assert "nan" in empty_rec.to_csv_row().split(",")
+    assert "nan" in _csv(STAT_COLUMNS, [empty_rec.as_tuple()]).splitlines()[1].split(",")
     assert math.isnan(empty_rec.char_path_length)
     assert empty_rec.triangle_count == 0
 

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from eigm.cli import main
 from eigm.modelzoo import ModelSpec
 from eigm.graphs import Graph
 from eigm.stats import STAT_COLUMNS, StatsRecord, compare, global_clustering
@@ -16,15 +17,26 @@ from eigm.svgplot import render_sweep_svg
 from eigm.sweep import (
     ExperimentConfig,
     SweepRow,
+    _nan_row,
     evaluate_point,
     parse_config,
     reference_record,
     run_sweep,
-    sweep_csv_header,
 )
+from eigm.rng import derive_seed
 from eigm.synth import clustered_graph
 
 from conftest import random_connected_graph
+
+
+def sweep_csv(rows, tmp_path, monkeypatch) -> str:
+    """The sweep.csv text that ``eigm sweep`` writes for ``rows``."""
+    edges = tmp_path / "any.edges"
+    edges.write_text("0 1\n", encoding="utf-8")
+    monkeypatch.setattr("eigm.cli.run_sweep", lambda *args: rows)
+    main(["sweep", "--model", "linear", "--omega", "0", "--input", str(edges),
+          "--output-dir", str(tmp_path)])
+    return (tmp_path / "sweep.csv").read_bytes().decode("utf-8")  # keeps a quoted \r
 
 CONFIG_TEXT = """\
 # demo sweep
@@ -108,7 +120,7 @@ def reference():
     return random_connected_graph(30, 0.1, seed=21)
 
 
-def test_run_sweep_rows_sorted_and_deterministic(reference, monkeypatch):
+def test_run_sweep_rows_sorted_and_deterministic(reference, monkeypatch, tmp_path):
     import eigm.sweep
 
     threads, pool_sizes = set(), []
@@ -133,7 +145,7 @@ def test_run_sweep_rows_sorted_and_deterministic(reference, monkeypatch):
     rows4 = run_sweep(reference, specs, samples=3, seed=5)
     assert pool_sizes == [1, 4]
     assert [r.knob for r in rows1] == [0.0, 0.5, 1.0]
-    assert [r.csv_row() for r in rows1] == [r.csv_row() for r in rows4]
+    assert sweep_csv(rows1, tmp_path, monkeypatch) == sweep_csv(rows4, tmp_path, monkeypatch)
 
 
 def test_sweep_memorization_limit(reference):
@@ -188,30 +200,46 @@ def test_fractional_integer_knob_is_an_error_row(reference, kind, knob, key):
     assert row.status == f"error[build]: {key} must be an integer, got {knob}"
 
 
-def test_integer_and_float_knobs_give_the_same_row():
+def test_integer_and_float_knobs_give_the_same_row(tmp_path, monkeypatch):
     # sample seeds hash the knob, so 4 and 4.0 must reach the hash alike
     g = clustered_graph(4, 7, 0.01, seed=0)
     rows = [evaluate_point(g, ModelSpec("tsvd", k), 2, 0) for k in (4, 4.0)]
     assert rows[0].status == "ok"
-    assert rows[0].csv_row() == rows[1].csv_row()
+    assert sweep_csv(rows[:1], tmp_path, monkeypatch) == sweep_csv(
+        rows[1:], tmp_path, monkeypatch
+    )
 
 
-def test_csv_header_and_row_shape(reference):
-    header = sweep_csv_header()
+def test_negative_zero_knob_gives_the_row_of_zero(tmp_path, monkeypatch):
+    # -0.0 == 0.0, but repr(-0.0) would reach the sample-seed hash as "-0.0"
+    g = clustered_graph(4, 7, 0.01, seed=0)
+    specs = [ModelSpec("linear", k) for k in (-0.0, 0.0)]
+    assert repr(specs[0].knob) == "0.0"
+    seeds = [derive_seed(0, s.kind, s.knob, 1) for s in specs]
+    assert seeds[0] == seeds[1]
+    rows = [evaluate_point(g, s, 2, 0) for s in specs]
+    assert rows[0].status == "ok"
+    assert sweep_csv(rows[:1], tmp_path, monkeypatch) == sweep_csv(
+        rows[1:], tmp_path, monkeypatch
+    )
+
+
+def test_csv_header_and_row_shape(reference, tmp_path, monkeypatch):
+    row = evaluate_point(reference, ModelSpec("linear", 0.5), samples=2, seed=0)
+    header, line = sweep_csv([row], tmp_path, monkeypatch).splitlines()
     cols = header.split(",")
     assert cols[0] == "model" and cols[-1] == "status"
     assert len(cols) == 4 + 2 * len(STAT_COLUMNS) + 1
-    row = evaluate_point(reference, ModelSpec("linear", 0.5), samples=2, seed=0)
-    assert len(row.csv_row().split(",")) == len(cols)
+    assert len(line.split(",")) == len(cols)
 
 
-def test_csv_row_quotes_a_status_with_commas_or_quotes():
-    nan = float("nan")
+def test_csv_row_quotes_a_status_with_commas_or_quotes(tmp_path, monkeypatch):
     status = 'error: bad "x", then\nmore'
-    row = SweepRow("linear", 0.5, nan, nan, {}, {}, status)
-    fields = next(csv.reader(io.StringIO(row.csv_row() + "\n")))
-    assert len(fields) == len(sweep_csv_header().split(",")) and fields[-1] == status
-    assert SweepRow("linear", 0.5, nan, nan, {}, {}).csv_row().endswith(",ok")
+    rows = [_nan_row(ModelSpec("linear", 0.5), status), _nan_row(ModelSpec("linear", 0.5), "ok")]
+    text = sweep_csv(rows, tmp_path, monkeypatch)
+    header, fields, _ = csv.reader(io.StringIO(text, newline=""))
+    assert len(fields) == len(header) and fields[-1] == status
+    assert text.endswith(",ok\n")
 
 
 def test_single_sample_std_is_nan(reference):
