@@ -44,6 +44,16 @@ def test_ingest(tmp_path, triangle_plus_edge, capsys):
     assert idmap[1] == "0,0"
 
 
+def test_ingest_above_the_dense_cap_is_one_line_error(tmp_path, capsys):
+    edges = tmp_path / "path.edges"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(10000)), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["ingest", "--input", str(edges), "--output-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: n=10001 exceeds dense-matrix cap 10000\n"
+    assert not out.exists()
+
+
 def test_ingest_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("0 x\n", encoding="utf-8")

@@ -126,13 +126,32 @@ def test_edge_array_matches_oracle(g):
     assert np.array_equal(g.edge_keys(), ref[:, 0] * g.n + ref[:, 1])
 
 
-@given(graphs())
-@settings(max_examples=100, deadline=None)
+@st.composite
+def word_boundary_graphs(draw):
+    """Graphs on 63 to 65 or 127 to 129 nodes, whose neighbor bit rows end
+    around a uint64 word boundary, or on 1, 2 or 200 nodes: densities from
+    edgeless to complete, some isolated nodes, sometimes a star hub."""
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 200]))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < density
+    hub = draw(st.none() | st.integers(0, n - 1))
+    if hub is not None:
+        keep |= (iu == hub) | (ju == hub)
+    isolated = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    keep &= ~np.isin(iu, isolated) & ~np.isin(ju, isolated)
+    return Graph.from_edges(n, np.column_stack([iu[keep], ju[keep]]))
+
+
+@given(graphs() | word_boundary_graphs())
+@settings(max_examples=150, deadline=None)
 def test_triangle_counts_match_oracle(g):
     t, total = triangle_counts(g)
     t_ref, total_ref = oracles.triangle_counts(g)
     assert t.dtype == np.int64 and np.array_equal(t, t_ref)
     assert type(total) is int and total == total_ref
+    assert t.sum() == 3 * total
 
 
 @given(graphs())
