@@ -223,6 +223,14 @@ def degrees(g: Graph) -> np.ndarray:
     return np.diff(g.indptr)
 
 
+def _neighbor_bits(g: Graph) -> np.ndarray:
+    """Neighbor sets as rows of ceil(n / 64) uint64 words: j is bit j % 8 of byte j // 8."""
+    bits = np.zeros((g.n, -(-g.n // 64)), dtype=np.uint64)
+    byte = g._rows() * (8 * bits.shape[1]) + g.indices // 8
+    np.bitwise_or.at(bits.view(np.uint8).reshape(-1), byte, (1 << g.indices % 8).astype(np.uint8))
+    return bits
+
+
 def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
     """Component count and per-node labels, as ``scipy.sparse.csgraph``
     returns them; the label order is csgraph's and undocumented."""

@@ -6,9 +6,10 @@ input's volume: linear (omega) blends A with a uniform matrix and ccop
 (omega) with a degree-matching odds-product fit; hdop (h) pins every pair
 touching the top-h degree nodes to A and fits the rest; tsvd (k) is the
 rank-k truncation of A (its k eigenpairs of largest |lambda|, equal to its
-rank-k SVD), shifted and clipped to restore the volume.  linear, ccop and
-hdop write A's entries at its CSR positions and never make A dense; every
-builder refuses an n above the dense cap before any n x n allocation.
+rank-k SVD, solved on the classes of nodes with equal neighbor sets),
+shifted and clipped to restore the volume.  linear, ccop and hdop write A's
+entries at its CSR positions and never make A dense; every builder refuses
+an n above the dense cap before any n x n allocation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
-from .graphs import Graph, degrees
+from .graphs import Graph, _neighbor_bits, degrees
 from .oddsproduct import fit_odds_product
 from .probmatrix import ProbMatrix, _check_dense_cap, convex_combine
 
@@ -131,16 +132,20 @@ def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
     s = 0.0
     lo = float(-vals.max())          # f(lo) == 0
     hi = float(1.0 - vals.min())     # f(hi) == npairs
+    clipped = np.empty_like(vals)  # clip(L + s), in (0, 1) exactly where L + s is
+    inside, below = np.empty((2, npairs), dtype=bool)  # every step reuses all three
     for _ in range(200):
-        shifted = vals + s
-        err = float(np.clip(shifted, 0.0, 1.0).sum()) - target_volume
+        np.clip(np.add(vals, s, out=clipped), 0.0, 1.0, out=clipped)
+        err = float(clipped.sum()) - target_volume
         if abs(err) <= tol:
             return s
         if err > 0:
             hi = min(hi, s)
         else:
             lo = max(lo, s)
-        slope = float(np.count_nonzero((shifted > 0.0) & (shifted < 1.0)))
+        np.greater(clipped, 0.0, out=inside)
+        inside &= np.less(clipped, 1.0, out=below)
+        slope = float(np.count_nonzero(inside))
         if slope > 0 and lo < s - err / slope < hi:
             s = s - err / slope
         else:
@@ -153,10 +158,13 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
 
     The truncation keeps the k eigenpairs of largest |lambda| (for a
     symmetric A, the rank-k SVD; not unique where |lambda_k| =
-    |lambda_(k+1)|), found by ``eigsh`` when 8k <= n and by a dense ``eigh``
-    otherwise.  It is symmetrized, shifted by the :func:`fit_volume_shift`
-    scalar (of the strict upper triangle), clipped to [0, 1] and its
-    diagonal zeroed, so the result has volume m within 1e-6 * m.
+    |lambda_(k+1)|).  Open twins (equal neighbor sets) form n_c classes,
+    numbered by first node, of t_c nodes: A = W M W^T, W[i, c] = t_c^-1/2,
+    M[c, c'] = (t_c t_c')^1/2 A[c, c'], and M's eigenpairs (lambda, u) from
+    ``eigsh`` (8k <= n_c) or a dense ``eigh`` lift to A's as W u.  Without
+    twins M = A.  The product is symmetrized, shifted by the
+    :func:`fit_volume_shift` scalar (of the strict upper triangle), clipped
+    to [0, 1] and its diagonal zeroed: volume m within 1e-6 * m.
     """
     n = a.n
     if not 1 <= k <= n:
@@ -164,12 +172,19 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     if a.m == 0:
         raise ValueError("tsvd model undefined for an empty graph")
     _check_dense_cap(n)
-    if 8 * k <= n:
-        lam, v = eigsh(a.to_csr(np.float64), k=k, which="LM", v0=np.ones(n))
+    bits = _neighbor_bits(a)
+    rows = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    rep, cls = np.unique(first[inverse], return_inverse=True)  # classes by first node
+    w = np.sqrt(np.bincount(cls))  # t_c ** 0.5
+    m = a.to_csr(np.float64)[rep][:, rep]
+    m.data *= np.repeat(w, np.diff(m.indptr)) * w[m.indices]
+    if 8 * k <= rep.size:
+        lam, v = eigsh(m, k=k, which="LM", v0=np.ones(rep.size))
     else:
-        lam, v = np.linalg.eigh(a.to_csr(np.float64).toarray())
+        lam, v = np.linalg.eigh(m.toarray())
     top = np.argsort(-np.abs(lam), kind="stable")[:k]
-    lam, v = lam[top], v[:, top]  # frees eigh's n x n eigenvectors before the product
+    lam, v = lam[top], v[np.ix_(cls, top)] / w[cls, None]  # W u for each kept u
     low = (v * lam) @ v.T
     low += low.T
     low *= 0.5

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.special
 
-from .graphs import Graph, _component_labels, degrees, largest_connected_component
+from .graphs import Graph, _component_labels, _neighbor_bits, degrees, largest_connected_component
 from .probmatrix import _check_dense_cap
 
 __all__ = [
@@ -99,14 +99,10 @@ def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
     ``A @ A`` on dense samples, more on large sparse graphs.
     """
     _check_dense_cap(g.n)
-    words = -(-g.n // 64)
-    bits = np.zeros((g.n, words), dtype=np.uint64)
-    byte = g._rows() * (8 * words) + g.indices // 8  # neighbor j: byte j // 8,
-    bit = (1 << g.indices % 8).astype(np.uint8)  # bit j % 8
-    np.bitwise_or.at(bits.view(np.uint8).reshape(-1), byte, bit)
+    bits = _neighbor_bits(g)
     e = g.edge_array()
     common = np.empty(g.m, dtype=np.int64)
-    step = max(1, _EDGE_BLOCK_WORDS // words)
+    step = max(1, _EDGE_BLOCK_WORDS // bits.shape[1])
     for lo in range(0, g.m, step):
         u, v = e[lo:lo + step].T
         both = np.take(bits, u, axis=0)

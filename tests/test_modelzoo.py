@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import eigsh
 
 from eigm.graphs import Graph, degrees
 from eigm.modelzoo import (
@@ -169,6 +170,23 @@ def test_tsvd_k5_rank1():
 def test_tsvd_path3_rank1(path3):
     p = tsvd_model(path3, 1)
     assert volume(p) == pytest.approx(2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("k", [32, 128])  # eigsh, eigh
+def test_tsvd_without_open_twins_equals_the_unreduced_solve(k):
+    g = clustered_graph(86, 7, 5e-4, seed=0)  # n = 602, no two equal neighbor sets
+    assert len({tuple(g.neighbors(i)) for i in range(g.n)}) == g.n
+    a = g.to_csr(np.float64)
+    if 8 * k <= g.n:
+        lam, v = eigsh(a, k=k, which="LM", v0=np.ones(g.n))
+    else:
+        lam, v = np.linalg.eigh(a.toarray())
+    top = np.argsort(-np.abs(lam), kind="stable")[:k]
+    low = (v[:, top] * lam[top]) @ v[:, top].T
+    low = 0.5 * (low + low.T)
+    low = np.clip(low + fit_volume_shift(low, float(g.m)), 0.0, 1.0)
+    np.fill_diagonal(low, 0.0)
+    assert np.array_equal(tsvd_model(g, k).mat, low)
 
 
 def test_tsvd_rejects_bad_rank(path3):

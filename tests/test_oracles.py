@@ -6,9 +6,9 @@ sampler, text writer, random matrix and volume shift equal their
 index-array oracles, the keyed clustered graph, empirical overlap and
 edge-list writer equal their loop, pairwise and tuple-sort oracles, the
 ``np.loadtxt`` text reader equals the line-by-line reader, the eigenpair
-tsvd model equals the dense-SVD one, and the linear, convex-combination
-and hdop builders that write the adjacency at its CSR positions equal,
-bit for bit, their dense-adjacency oracles."""
+tsvd model solved on open-twin classes equals the dense-SVD one, and the
+linear, convex-combination and hdop builders that write the adjacency at
+its CSR positions equal, bit for bit, their dense-adjacency oracles."""
 
 import importlib.util
 import itertools
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -44,6 +44,7 @@ from eigm.probmatrix import (
     expected_kcycles_exact,
     expected_kcycles_trace,
     load_probmatrix,
+    overlap,
     sample,
     save_probmatrix,
     to_dense,
@@ -627,22 +628,79 @@ def test_random_probmatrix_matches_index_array_oracle(scale):
         assert random_probmatrix(n, 7 * n, scale) == oracles.random_probmatrix(n, 7 * n, scale)
 
 
-def _assert_tsvd_matches_svd_oracle(g: Graph, k: int):
-    if k < g.n:
-        # with |lambda_k| = |lambda_(k+1)| the rank-k truncation is not unique
-        lam = np.sort(np.abs(np.linalg.eigvalsh(to_dense(g).mat)))[::-1]
-        assert lam[k - 1] - lam[k] > 1e-6
+def _twin_classes(g: Graph) -> int:
+    """Number of distinct neighbor sets: the order of the matrix tsvd solves."""
+    return len({tuple(g.neighbors(i)) for i in range(g.n)})
+
+
+def _truncation_gap(g: Graph, k: int) -> float:
+    """|lambda_k| - |lambda_(k+1)|, infinite where the rank-k truncation is
+    unique anyway (k = n, or only zero eigenvalues from the k-th on)."""
+    lam = np.sort(np.abs(np.linalg.eigvalsh(to_dense(g).mat)))[::-1]
+    if k == g.n or lam[k - 1] < 1e-9:
+        return math.inf
+    return lam[k - 1] - lam[k]
+
+
+def _assert_tsvd_matches_svd_oracle(g: Graph, k: int) -> ProbMatrix:
+    # with |lambda_k| = |lambda_(k+1)| the rank-k truncation is not unique
+    assert _truncation_gap(g, k) > 1e-6
     p = tsvd_model(g, k)
     assert np.abs(p.mat - oracles.tsvd_model(g, k).mat).max() <= 1e-10
     assert abs(volume(p) - g.m) <= 1e-6 * g.m
+    return p
 
 
-@pytest.mark.parametrize("k", [16, 40])
+@pytest.mark.parametrize("k", [8, 16, 40])
 def test_tsvd_matches_svd_oracle_on_both_solvers(k):
     g, _ = largest_connected_component(powerlaw_configuration_graph(260, 2.2, seed=2))
-    assert g.n == 210
-    # rank 16 takes eigsh (8k <= n), rank 40 takes eigh
+    assert (g.n, _twin_classes(g)) == (210, 122)
+    # rank 8 takes eigsh (8k <= n_c); rank 16 takes eigh, as 8k <= n but
+    # 8k > n_c; rank 40 takes eigh
     _assert_tsvd_matches_svd_oracle(g, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 21])
+def test_tsvd_of_a_star_is_the_star(k):
+    # K_{1,20} has two twin classes, so every k >= 2 keeps its whole spectrum
+    # (eigsh would refuse k >= n_c = 2; eigh on the 2 x 2 matrix keeps both)
+    star = Graph.from_edges(21, [(0, j) for j in range(1, 21)])
+    assert _twin_classes(star) == 2
+    p = _assert_tsvd_matches_svd_oracle(star, k)
+    assert np.abs(p.mat - to_dense(star).mat).max() <= 1e-10
+    assert overlap(p) == pytest.approx(1.0, abs=1e-10)
+
+
+@st.composite
+def graphs_with_twins(draw):
+    """Random graphs plus nodes that copy the neighbor set of a random node
+    (an open twin of it), then up to two isolated nodes."""
+    n, edges = draw(raw_edge_lists(max_n=16))
+    g = Graph.from_edges(n, edges)
+    adj = [set(g.neighbors(i).tolist()) for i in range(n)]
+    for src in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)):
+        for j in adj[src]:
+            adj[j].add(len(adj))
+        adj.append(set(adj[src]))
+    size = len(adj) + draw(st.integers(0, 2))
+    return Graph.from_edges(size, [(i, j) for i, nb in enumerate(adj) for j in nb])
+
+
+@given(graphs_with_twins(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tsvd_matches_svd_oracle_on_graphs_with_twins(g, data):
+    k = data.draw(st.integers(1, g.n))
+    assume(g.m > 0 and _truncation_gap(g, k) > 1e-3)
+    _assert_tsvd_matches_svd_oracle(g, k)
+
+
+# K_{3,7}: two open-twin classes
+_K37 = Graph.from_edges(10, itertools.product(range(3), range(3, 10)))
+# a 10-cycle with 5 leaves on node 0 and 3 on node 5, plus 2 isolated nodes,
+# whose class has a zero row: 13 open-twin classes, so rank 20 exceeds n_c
+_TWIN_LEAVES = Graph.from_edges(20, [*((i, (i + 1) % 10) for i in range(10)),
+                                     *((0, j) for j in range(10, 15)),
+                                     *((5, j) for j in range(15, 18))])
 
 
 @pytest.mark.parametrize("g, k", [
@@ -656,6 +714,8 @@ def test_tsvd_matches_svd_oracle_on_both_solvers(k):
                  2, id="K10+K6"),
     # |lambda| = sqrt3, sqrt3, 1, 1, 0: k = n - 1 takes eigh and is unique
     pytest.param(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 4, id="P5"),
+    *(pytest.param(_K37, k, id=f"K3,7-rank{k}") for k in (2, 5, 10)),
+    *(pytest.param(_TWIN_LEAVES, k, id=f"C10+twin-leaves-rank{k}") for k in (2, 6, 13, 20)),
 ])
 def test_tsvd_matches_svd_oracle_on_structured_spectra(g, k):
     _assert_tsvd_matches_svd_oracle(g, k)
