@@ -63,7 +63,7 @@ class BoundReport:
 def _ov_times_vol(p: ProbMatrix) -> float:
     if volume(p) <= 0.0:
         raise ZeroVolumeError("bound undefined: volume is zero")
-    return float((p.mat**2).sum() / 2.0)
+    return float(np.einsum("ij,ij->", p.mat, p.mat) / 2.0)
 
 
 def _cycle_bound(p: ProbMatrix, k: int, theorem: str, mode: str, lhs: float) -> BoundReport:

@@ -162,9 +162,10 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     numbered by first node, of t_c nodes: A = W M W^T, W[i, c] = t_c^-1/2,
     M[c, c'] = (t_c t_c')^1/2 A[c, c'], and M's eigenpairs (lambda, u) from
     ``eigsh`` (8k <= n_c) or a dense ``eigh`` lift to A's as W u.  Without
-    twins M = A.  The product is symmetrized, shifted by the
-    :func:`fit_volume_shift` scalar (of the strict upper triangle), clipped
-    to [0, 1] and its diagonal zeroed: volume m within 1e-6 * m.
+    twins M = A.  The product X+ X+^T - X- X-^T of X = V |Lambda|^1/2 split
+    at lambda > 0 is exactly symmetric (numpy runs X @ X.T as BLAS syrk); it
+    is shifted by the :func:`fit_volume_shift` scalar (strict upper triangle),
+    clipped to [0, 1] and its diagonal zeroed: volume m within 1e-6 * m.
     """
     n = a.n
     if not 1 <= k <= n:
@@ -184,10 +185,14 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     else:
         lam, v = np.linalg.eigh(m.toarray())
     top = np.argsort(-np.abs(lam), kind="stable")[:k]
+    top = top[np.argsort(lam[top] <= 0.0, kind="stable")]  # lambda > 0 first
     lam, v = lam[top], v[np.ix_(cls, top)] / w[cls, None]  # W u for each kept u
-    low = (v * lam) @ v.T
-    low += low.T
-    low *= 0.5
+    v *= np.sqrt(np.abs(lam))  # X, in place: no second n x k array
+    j = np.count_nonzero(lam > 0.0)
+    low = v[:, :j] @ v[:, :j].T  # syrk; from_array's check still guards symmetry
+    if j < lam.size:
+        low -= v[:, j:] @ v[:, j:].T
+    del v  # freed before fit_volume_shift makes its buffers, the build's peak
     low += fit_volume_shift(low, float(a.m))
     np.clip(low, 0.0, 1.0, out=low)
     np.fill_diagonal(low, 0.0)

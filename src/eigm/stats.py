@@ -234,11 +234,12 @@ def char_path_length(g: Graph) -> float:
         raise DisconnectedGraphError(
             "graph is disconnected; apply largest_connected_component first"
         )
-    words = -(-min(_SOURCES, g.n) // 64)
-    blocks = _row_blocks(words * degrees(g))  # words gathered per row
+    step = 64 * -(-min(_SOURCES, g.n) // 64)
     total = 0
-    for start in range(0, g.n, 64 * words):
-        k = np.arange(min(64 * words, g.n - start))
+    for start in range(0, g.n, step):
+        k = np.arange(min(step, g.n - start))
+        words = -(-k.size // 64)  # the last block is as wide as its sources
+        blocks = _row_blocks(words * degrees(g))  # words gathered per row
         seen = np.zeros((g.n, words), dtype=np.uint64)
         seen.view(np.uint8)[start + k, k // 8] = 1 << (k % 8)  # source k's bit
         frontier = seen

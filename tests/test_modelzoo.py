@@ -182,11 +182,23 @@ def test_tsvd_without_open_twins_equals_the_unreduced_solve(k):
     else:
         lam, v = np.linalg.eigh(a.toarray())
     top = np.argsort(-np.abs(lam), kind="stable")[:k]
-    low = (v[:, top] * lam[top]) @ v[:, top].T
-    low = 0.5 * (low + low.T)
+    x, pos = v[:, top] * np.sqrt(np.abs(lam[top])), lam[top] > 0.0
+    xp, xn = x[:, pos], x[:, ~pos]  # X+ X+^T - X- X-^T, each product by syrk
+    low = xp @ xp.T - xn @ xn.T
     low = np.clip(low + fit_volume_shift(low, float(g.m)), 0.0, 1.0)
     np.fill_diagonal(low, 0.0)
     assert np.array_equal(tsvd_model(g, k).mat, low)
+
+
+@pytest.mark.parametrize("k", [8, 64])  # eigsh, eigh
+def test_tsvd_is_exactly_symmetric_with_negative_eigenvalues_kept(k):
+    rng = np.random.default_rng(0)
+    u, v = np.nonzero(rng.random((100, 100)) < 0.05)
+    g = Graph.from_edges(200, zip(u.tolist(), (v + 100).tolist()))  # bipartite
+    lam = np.linalg.eigvalsh(g.to_csr(np.float64).toarray())  # symmetric about 0
+    assert lam[np.argsort(-np.abs(lam), kind="stable")[:k]].min() < 0.0
+    p = tsvd_model(g, k).mat
+    assert np.array_equal(p, p.T)
 
 
 def test_tsvd_rejects_bad_rank(path3):
@@ -232,6 +244,17 @@ def test_builds_peak_at_few_n_by_n_arrays(build, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * g.n**2
+
+
+def test_overlap_makes_no_n_by_n_temporary():
+    p = linear_model(clustered_graph(86, 7, 5e-4, seed=0), 0.5)  # n = 602
+    tracemalloc.start()
+    try:
+        overlap(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # P**2 would take 2.9 MB
 
 
 def test_volume_preserved_across_zoo(test_graphs):

@@ -329,10 +329,11 @@ def test_validate_rejects_each_broken_invariant():
 
 @pytest.mark.parametrize("chunk", [1, 64, 100, 512])
 def test_char_path_length_source_blocks(chunk, monkeypatch):
-    # n > 64 puts the sources in several bit-word blocks
+    # n > 64 puts the sources in several bit-word blocks; at n = 700 the last
+    # block is narrower than the others (188 sources in 3 words at chunk 512)
     monkeypatch.setattr(stats, "_SOURCES", chunk)
-    for seed in range(3):
-        g = random_connected_graph(150, 0.03, seed=seed)
+    graphs = [random_connected_graph(150, 0.03, seed=seed) for seed in range(3)]
+    for g in graphs + [clustered_graph(100, 7, 5e-4, seed=0)]:  # connected, n = 700
         assert char_path_length(g) == oracles.char_path_length(g)
 
 

@@ -302,6 +302,16 @@ def test_expected_triangles_matches_brute_force(p):
     )
 
 
+@pytest.mark.parametrize("k", range(3, 9))
+def test_kcycles_trace_at_one_and_two_nodes(k):
+    assert expected_kcycles_trace(ProbMatrix.from_array(np.zeros((1, 1))), k) == 0.0
+    # P = [[0, x], [x, 0]]: P^k is x^k I for even k and x^(k-1) P for odd k
+    x = 0.3
+    p = ProbMatrix.from_array(np.array([[0.0, x], [x, 0.0]]))
+    want = 0.0 if k % 2 else 2.0 * x**k / (2.0 * k)
+    assert expected_kcycles_trace(p, k) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_kcycles_trace_examples(triangle):
     p = to_dense(triangle)
     assert expected_kcycles_trace(p, 3) == pytest.approx(expected_triangles(p))
