@@ -23,8 +23,7 @@ def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
     _check_dense_cap(n)
     upper = ~np.tri(n, dtype=bool)
     a = np.zeros((n, n))
-    a[upper] = make_rng(seed).random(n * (n - 1) // 2) * scale
-    a.T[upper] = a[upper]
+    a[upper] = a.T[upper] = make_rng(seed).random(n * (n - 1) // 2) * scale
     return ProbMatrix.from_array(a)
 
 

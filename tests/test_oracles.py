@@ -17,6 +17,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_connected_graph
-from eigm import oddsproduct, stats
+from eigm import oddsproduct, probmatrix, stats
 from eigm.graphs import (
     Graph,
     connected_components,
@@ -484,18 +485,31 @@ def sampler_cases(draw):
     return ProbMatrix.from_array(m), draw(st.integers(0, 2**64 - 1))
 
 
+# Row-block sizes for `sample`: one pair per block, blocks that split and
+# join rows, and the default, which covers any n <= 40 in one block.
+_SAMPLE_BLOCKS = (1, 2, 7, 64, probmatrix._SAMPLE_BLOCK)
+
+
 @given(sampler_cases())
 @settings(max_examples=200, deadline=None)
 def test_sample_matches_index_array_oracle(case):
     p, seed = case
-    assert sample(p, seed) == oracles.sample(p, seed)
+    expect = oracles.sample(p, seed)
+    for block in _SAMPLE_BLOCKS:
+        with mock.patch.object(probmatrix, "_SAMPLE_BLOCK", block):
+            assert sample(p, seed) == expect
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sample_matches_index_array_oracle_at_tiny_n(n):
+    # the sample seed differs from the matrix seed: drawn with the same
+    # stream, every draw u would meet its probability u, and no pair is an edge
     for seed in range(50):
         p = oracles.random_probmatrix(n, seed)
-        assert sample(p, seed) == oracles.sample(p, seed)
+        expect = oracles.sample(p, seed + 1)
+        for block in _SAMPLE_BLOCKS:
+            with mock.patch.object(probmatrix, "_SAMPLE_BLOCK", block):
+                assert sample(p, seed + 1) == expect
 
 
 @given(sampler_cases(), st.integers(0, 6))

@@ -29,7 +29,6 @@ from eigm.probmatrix import (
 from eigm.bounds import er_construction
 
 from conftest import complete_graph, pair_overlap_mean, prob_matrices
-from oracles import random_probmatrix
 
 
 def brute_force_expected_triangles(p: ProbMatrix) -> float:
@@ -228,18 +227,17 @@ def test_sample_draw_order_contract():
         assert got == expect
 
 
-def test_sample_peaks_below_ten_n_squared_bytes():
-    # the upper-triangle mask doubles as the edge mask: one n x n bool array
-    # beside the draws and the gathered probabilities (about 9.5 n^2 bytes)
-    n = 600
-    p = random_probmatrix(n, 0)
+def test_sample_peaks_under_eight_mib():
+    # rows are drawn in blocks of about 2**18 pairs: one block's draws,
+    # gathered probabilities and mask set the peak, about 4.3 MiB here
+    p = er_construction(1500, 0.05)
     tracemalloc.start()
     try:
         sample(p, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * n**2
+    assert peak < 8 * 2**20
 
 
 def test_sample_edge_count_moments():
