@@ -33,14 +33,6 @@ from .probmatrix import (
 from .rng import derive_seed
 from .stats import global_clustering
 
-__all__ = [
-    "BoundReport",
-    "check_triangle_bound",
-    "check_kcycle_bound",
-    "check_cc_tightness",
-    "er_construction",
-]
-
 _EXACT_SLACK = 1e-9
 
 

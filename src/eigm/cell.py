@@ -18,13 +18,6 @@ import scipy.special
 from .graphs import Graph, degrees
 from .probmatrix import ProbMatrix, to_dense
 
-__all__ = [
-    "unconstrained_optimum",
-    "cell_symmetrize",
-    "vandermonde_embedding",
-    "verify_embedding",
-]
-
 EMBED_NODE_CAP = 20  # polynomial products on integer grids; conditioning cap
 
 

@@ -7,9 +7,16 @@ Exit codes: 0 on success, 1 on operational failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# One BLAS thread, so that a sweep's bytes do not depend on the CPU count:
+# OpenBLAS's threaded kernels split sums by thread, and the sweep already runs
+# one grid point per CPU. OpenBLAS reads this once, when numpy loads it, so it
+# must be set before the first numpy import; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -19,16 +19,6 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-__all__ = [
-    "Graph",
-    "EdgeListParseError",
-    "parse_edge_list",
-    "load_edge_list",
-    "serialize_edge_list",
-    "largest_connected_component",
-    "degrees",
-]
-
 
 class EdgeListParseError(ValueError):
     """Malformed edge-list input; ``line_no`` is 1-based."""

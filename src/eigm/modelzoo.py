@@ -23,16 +23,6 @@ from .graphs import Graph, _neighbor_bits, degrees
 from .oddsproduct import fit_odds_product
 from .probmatrix import ProbMatrix, _check_dense_cap, convex_combine
 
-__all__ = [
-    "ModelSpec",
-    "linear_model",
-    "ccop",
-    "hdop",
-    "tsvd_model",
-    "fit_volume_shift",
-    "build_model",
-]
-
 # Each model kind and the name of its knob, as a sweep config key and a CLI flag.
 KNOB_KEYS = {"linear": "omega", "ccop": "omega", "hdop": "h", "tsvd": "rank"}
 MODEL_KINDS = tuple(KNOB_KEYS)

@@ -21,17 +21,6 @@ from scipy.special import expit
 
 from .probmatrix import ProbMatrix, _check_dense_cap
 
-__all__ = [
-    "FitReport",
-    "FitConvergenceError",
-    "predicted_degrees",
-    "degree_jacobian",
-    "fit_odds_product",
-    "EXCLUDED_LOGIT",
-    "EPS",
-    "MAX_ITER",
-]
-
 # Logit assigned to zero-degree nodes, which are removed before fitting and
 # re-inserted afterwards.  Finite, but large enough that expit underflows to
 # exactly 0.0 against any logit the fit can produce.

@@ -21,24 +21,6 @@ import numpy as np
 from .graphs import Graph
 from .rng import make_rng
 
-__all__ = [
-    "ProbMatrix",
-    "CapacityError",
-    "ZeroVolumeError",
-    "DEFAULT_DENSE_CAP",
-    "to_dense",
-    "volume",
-    "overlap",
-    "sample",
-    "empirical_overlap",
-    "expected_triangles",
-    "expected_kcycles_trace",
-    "expected_kcycles_exact",
-    "convex_combine",
-    "save_probmatrix",
-    "load_probmatrix",
-]
-
 # Largest n admitted to dense-matrix constructors.  A 10000 x 10000 float64
 # matrix is ~800 MB; everything here is dense-matrix based, so refuse early.
 DEFAULT_DENSE_CAP = 10000

@@ -12,8 +12,6 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["make_rng", "derive_seed"]
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return a Philox-backed generator keyed by ``seed``."""

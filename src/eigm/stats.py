@@ -24,20 +24,6 @@ import scipy.special
 from .graphs import Graph, _component_labels, _neighbor_bits, degrees, largest_connected_component
 from .probmatrix import _check_dense_cap
 
-__all__ = [
-    "StatsRecord",
-    "DisconnectedGraphError",
-    "STAT_COLUMNS",
-    "triangle_counts",
-    "global_clustering",
-    "assortativity",
-    "PowerLawFit",
-    "fit_power_law",
-    "powerlaw_alpha",
-    "char_path_length",
-    "compare",
-]
-
 
 class DisconnectedGraphError(ValueError):
     pass

@@ -7,8 +7,6 @@ import math
 from .stats import STAT_COLUMNS, StatsRecord
 from .sweep import SweepRow
 
-__all__ = ["render_sweep_svg"]
-
 _PANEL_W, _PANEL_H = 300, 230
 _MARGIN = 48
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

@@ -25,14 +25,6 @@ from .probmatrix import empirical_overlap, overlap, sample
 from .rng import derive_seed
 from .stats import STAT_COLUMNS, StatsRecord, compare
 
-__all__ = [
-    "ExperimentConfig",
-    "SweepRow",
-    "parse_config",
-    "run_sweep",
-    "reference_record",
-]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

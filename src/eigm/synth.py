@@ -9,12 +9,6 @@ from .graphs import Graph
 from .probmatrix import ProbMatrix, _check_dense_cap, sample
 from .rng import make_rng
 
-__all__ = [
-    "random_probmatrix",
-    "random_bounded_degree_graph",
-    "powerlaw_configuration_graph",
-]
-
 
 def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
     """Symmetric matrix with iid uniform [0, scale] entries, zero diagonal."""

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 import eigm.cli
 from eigm.bounds import BoundReport
 from eigm.cli import _csv, build_parser, main
-from eigm.graphs import parse_edge_list
+from eigm.graphs import parse_edge_list, serialize_edge_list
 from eigm.probmatrix import load_probmatrix
 from eigm.stats import STAT_COLUMNS, StatsRecord
 from eigm.sweep import SweepRow
+from eigm.synth import clustered_graph
 
 
 @pytest.fixture
@@ -637,15 +638,54 @@ def test_sweep_negative_zero_knob_writes_the_bytes_of_zero(tmp_path, capsys):
     assert written[0] == written[1]
 
 
+def _python(code, **env):
+    """Run ``python -c code`` on this checkout's eigm and return its stdout;
+    an ``env`` value of None removes that variable."""
+    env = {**os.environ, "PYTHONPATH": str(Path(eigm.cli.__file__).parents[1]), **env}
+    env = {k: v for k, v in env.items() if v is not None}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_importing_the_cli_leaves_scipy_spatial_unloaded():
     # every eigm command pays for the modules `import eigm.cli` loads, and
     # scipy.spatial is a large import that no eigm code path needs
     code = "import sys, eigm.cli; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
-    env = {**os.environ, "PYTHONPATH": str(Path(eigm.cli.__file__).parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert _python(code) == "[]"
+
+
+def test_importing_eigm_loads_no_numpy_and_serves_only_four_graph_names():
+    # eigm.cli can set the BLAS thread count only if numpy is not yet loaded
+    assert _python("import sys, eigm; print('numpy' in sys.modules)") == "False"
+    for name in ("Graph", "degrees", "largest_connected_component", "serialize_edge_list"):
+        assert getattr(eigm, name) is getattr(eigm.graphs, name)
+    with pytest.raises(AttributeError, match="'sample'"):
+        eigm.sample
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs to compare a sweep on one CPU with a sweep on all of them",
+)
+def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # tsvd 64 on this n=210 clique chain runs the dense eigh, whose last digits
+    # differed between one and two OpenBLAS threads before eigm.cli set one
+    ref = tmp_path / "ref.edges"
+    ref.write_text(serialize_edge_list(clustered_graph(30, 7, 5e-4, seed=0)), encoding="utf-8")
+    written = []
+    for cpus in ({min(os.sched_getaffinity(0))}, os.sched_getaffinity(0)):
+        out = tmp_path / f"out{len(cpus)}"
+        argv = ["sweep", "--model", "tsvd", "--rank", "64", "--samples", "1",
+                "--input", str(ref), "--output-dir", str(out)]
+        # the mask is set before numpy loads, as OpenBLAS sizes its pool then
+        code = (f"import os; os.sched_setaffinity(0, {cpus!r}); import eigm.cli; "
+                f"raise SystemExit(eigm.cli.main({argv!r}))")
+        # OpenBLAS reads its thread count from the first of these it finds
+        _python(code, OPENBLAS_NUM_THREADS=None, GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None)
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 # A drawn flag value is an edge value or, as often, a small valid one.
