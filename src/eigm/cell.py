@@ -12,8 +12,6 @@ edge-probability matrix.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.csgraph
-import scipy.special
 
 from .graphs import Graph, degrees
 from .probmatrix import ProbMatrix, to_dense
@@ -57,6 +55,7 @@ def cell_symmetrize(p_star: np.ndarray) -> ProbMatrix:
         raise ValueError("P* must be square")
     if np.any(p_star < 0) or not np.allclose(p_star.sum(axis=1), 1.0, atol=1e-9):
         raise ValueError("P* must be row-stochastic")
+    import scipy.sparse.csgraph
     if scipy.sparse.csgraph.connected_components(
         p_star > 0, directed=True, connection="strong", return_labels=False
     ) != 1:
@@ -125,6 +124,12 @@ def vandermonde_embedding(a: Graph, scale: float = 1e4) -> np.ndarray:
     return w
 
 
+def _row_softmax(x: np.ndarray) -> np.ndarray:
+    """``scipy.special.softmax(x, axis=1)`` in scipy's own steps, bit for bit."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def verify_embedding(a: Graph, w: np.ndarray) -> tuple[float, int]:
     """(max entrywise row-softmax error vs D^-1 A, numerical rank of the logits).
 
@@ -134,5 +139,5 @@ def verify_embedding(a: Graph, w: np.ndarray) -> tuple[float, int]:
     if mat.shape != (a.n, a.n):
         raise ValueError("dimension mismatch")
     target = unconstrained_optimum(a)
-    max_error = float(np.abs(scipy.special.softmax(mat, axis=1) - target).max())
+    max_error = float(np.abs(_row_softmax(mat) - target).max())
     return max_error, int(np.linalg.matrix_rank(mat, rtol=1e-8))

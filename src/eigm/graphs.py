@@ -8,7 +8,7 @@ and ``2 * m`` equal to the degree sum.
 
 Every kernel here is vectorized: construction, validation and edge
 listing work on whole index arrays, and connected components come from
-``scipy.sparse.csgraph`` on :meth:`Graph.to_csr`.
+``scipy.sparse.csgraph`` on :meth:`Graph.to_csr`, imported at first call.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 
 class EdgeListParseError(ValueError):
@@ -103,8 +101,9 @@ class Graph:
         e = self.edge_array()
         return e[:, 0] * np.int64(self.n) + e[:, 1]
 
-    def to_csr(self, dtype=np.int64) -> scipy.sparse.csr_matrix:
+    def to_csr(self, dtype=np.int64) -> "scipy.sparse.csr_matrix":
         """Adjacency as a ``scipy.sparse`` CSR matrix with unit entries."""
+        import scipy.sparse
         data = np.ones(len(self.indices), dtype=dtype)
         return scipy.sparse.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.n, self.n)
@@ -224,6 +223,7 @@ def _neighbor_bits(g: Graph) -> np.ndarray:
 def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
     """Component count and per-node labels, as ``scipy.sparse.csgraph``
     returns them; the label order is csgraph's and undocumented."""
+    import scipy.sparse.csgraph
     return scipy.sparse.csgraph.connected_components(g.to_csr(np.int8), directed=False)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .graphs import Graph, _neighbor_bits, degrees
 from .oddsproduct import fit_odds_product
@@ -92,11 +91,12 @@ def hdop(a: Graph, h: int) -> ProbMatrix:
     pinned[order[:h]] = True
     free = np.flatnonzero(~pinned)
 
+    if free.size > 0:  # fit first: out is n x n, so the fit's peak must not add to it
+        residual_deg = (deg - a.to_csr() @ pinned.astype(np.int64))[free]
+        _, p_sub, _ = fit_odds_product(residual_deg)
     out = np.zeros((n, n))
     out[a._rows(), a.indices] = 1.0
     if free.size > 0:
-        residual_deg = (deg - a.to_csr() @ pinned.astype(np.int64))[free]
-        _, p_sub, _ = fit_odds_product(residual_deg)
         out[np.ix_(free, free)] = p_sub.mat
     return ProbMatrix.from_array(out)
 
@@ -157,6 +157,7 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     is shifted by the :func:`fit_volume_shift` scalar (strict upper triangle),
     clipped to [0, 1] and its diagonal zeroed: volume m within 1e-6 * m.
     """
+    from scipy.sparse.linalg import eigsh
     n = a.n
     if not 1 <= k <= n:
         raise ValueError(f"rank must be in [1, n], got {k}")

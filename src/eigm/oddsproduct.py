@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .probmatrix import ProbMatrix, _check_dense_cap
 
@@ -52,6 +51,7 @@ class FitConvergenceError(RuntimeError):
 
 
 def _prob_from_logits(logits: np.ndarray) -> np.ndarray:
+    from scipy.special import expit
     # one expit per pair of distinct logits; indexing rows and columns in
     # one step keeps the gather C-ordered (table[cls][:, cls] is F-ordered)
     vals, cls = np.unique(logits, return_inverse=True)
@@ -86,6 +86,7 @@ def _class_residual(ell, dc, cnt) -> tuple[np.ndarray, np.ndarray, float]:
     """Class-pair probabilities P, per-class degree residual, and its 2-norm
     over nodes.  A node of class c expects degree sum_c' cnt_c' P_cc' - P_cc:
     its own pair with itself is excluded."""
+    from scipy.special import expit
     p = expit(np.add.outer(ell, ell))
     r = p @ cnt - np.diagonal(p) - dc
     return p, r, float(np.sqrt(cnt @ r**2))

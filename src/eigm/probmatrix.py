@@ -104,7 +104,9 @@ class ProbMatrix:
 def to_dense(g: Graph) -> ProbMatrix:
     """Binary probability matrix of a graph; a model that memorizes it."""
     _check_dense_cap(g.n)
-    return ProbMatrix.from_array(g.to_csr(np.float64).toarray())
+    a = np.zeros((g.n, g.n))
+    a[g._rows(), g.indices] = 1.0
+    return ProbMatrix.from_array(a)
 
 
 def volume(p: ProbMatrix) -> float:

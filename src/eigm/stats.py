@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.special
 
 from .graphs import Graph, _component_labels, _neighbor_bits, degrees, largest_connected_component
 from .probmatrix import _check_dense_cap
@@ -166,6 +165,7 @@ def fit_power_law(d: np.ndarray) -> PowerLawFit | None:
     points and two distinct tail values; returns None when no candidate
     qualifies (e.g. all degrees equal).
     """
+    import scipy.special
     vals = np.asarray(d, dtype=np.float64)
     vals = np.sort(vals[vals > 0])
     best: PowerLawFit | None = None

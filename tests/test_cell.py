@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import softmax
 
 from eigm.cell import (
+    EMBED_NODE_CAP,
+    _row_softmax,
     cell_symmetrize,
     unconstrained_optimum,
     vandermonde_embedding,
@@ -205,3 +208,18 @@ def test_embedding_on_complete_graph():
     max_error, numerical_rank = verify_embedding(g, w)
     assert max_error <= 1e-3
     assert numerical_rank <= 2 * 4 + 1  # max degree 4
+
+
+@given(st.integers(3, EMBED_NODE_CAP), st.integers(2, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e2, 1e3, 1e4]))
+@settings(max_examples=40, deadline=None)
+def test_row_softmax_is_scipys_on_embedding_logits(n, dmax, seed, scale):
+    w = vandermonde_embedding(random_bounded_degree_graph(n, dmax, seed=seed), scale=scale)
+    assert np.array_equal(_row_softmax(w), softmax(w, axis=1))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+              elements=st.floats(-1e4, 1e4)))
+@settings(max_examples=200, deadline=None)
+def test_row_softmax_is_scipys_on_random_logits(x):
+    assert np.array_equal(_row_softmax(x), softmax(x, axis=1))

@@ -649,11 +649,28 @@ def _python(code, **env):
     return out.stdout.strip()
 
 
-def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+_SCIPY_MODULES = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
     # every eigm command pays for the modules `import eigm.cli` loads, and
-    # scipy.spatial is a large import that no eigm code path needs
-    code = "import sys, eigm.cli; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
-    assert _python(code) == "[]"
+    # scipy is imported only by the functions that call it
+    assert _python(f"import sys, eigm.cli; print({_SCIPY_MODULES})") == "[]"
+
+
+def test_verify_cell_verify_and_sample_run_without_scipy(tmp_path):
+    # the bound checks, the CELL check and the sampler call no scipy function
+    pmat = tmp_path / "p.pmat"
+    pmat.write_text("n=4\n0 1 0.5\n1 2 0.25\n2 3 1\n", encoding="utf-8")
+    csv_out = str(tmp_path / "out.csv")
+    runs = [["verify", "--theorem", t, "--n", "60", "--trials", "3", "--output", csv_out]
+            for t in ("tri", "kcycle", "cc")]
+    runs += [["cell-verify", "--n", "8", "--trials", "2", "--output", csv_out],
+             ["sample", "--input", str(pmat), "--output-dir", str(tmp_path)]]
+    code = (f"import sys, eigm.cli\nfor argv in {runs!r}:\n    assert eigm.cli.main(argv) == 0\n"
+            f"print({_SCIPY_MODULES})")
+    assert _python(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "p_sample0.edges").exists()
 
 
 def test_importing_eigm_loads_no_numpy_and_serves_only_four_graph_names():
@@ -665,27 +682,52 @@ def test_importing_eigm_loads_no_numpy_and_serves_only_four_graph_names():
         eigm.sample
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="needs two CPUs to compare a sweep on one CPU with a sweep on all of them",
-)
-def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path):
-    # tsvd 64 on this n=210 clique chain runs the dense eigh, whose last digits
-    # differed between one and two OpenBLAS threads before eigm.cli set one
+def _sweep_on_one_cpu_and_on_all(tmp_path, argv):
+    """``sweep.csv`` bytes of ``eigm sweep argv`` (plus --input and
+    --output-dir) on the n=210 clustered reference, run in a fresh child
+    pinned to one CPU and in one on the whole affinity mask."""
     ref = tmp_path / "ref.edges"
     ref.write_text(serialize_edge_list(clustered_graph(30, 7, 5e-4, seed=0)), encoding="utf-8")
     written = []
     for cpus in ({min(os.sched_getaffinity(0))}, os.sched_getaffinity(0)):
         out = tmp_path / f"out{len(cpus)}"
-        argv = ["sweep", "--model", "tsvd", "--rank", "64", "--samples", "1",
-                "--input", str(ref), "--output-dir", str(out)]
+        full = [*argv, "--input", str(ref), "--output-dir", str(out)]
         # the mask is set before numpy loads, as OpenBLAS sizes its pool then
         code = (f"import os; os.sched_setaffinity(0, {cpus!r}); import eigm.cli; "
-                f"raise SystemExit(eigm.cli.main({argv!r}))")
+                f"raise SystemExit(eigm.cli.main({full!r}))")
         # OpenBLAS reads its thread count from the first of these it finds
         _python(code, OPENBLAS_NUM_THREADS=None, GOTO_NUM_THREADS=None, OMP_NUM_THREADS=None)
         written.append((out / "sweep.csv").read_bytes())
-    assert written[0] == written[1]
+    return written
+
+
+_NEEDS_TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs: a sweep on all of them, with two pool threads, "
+    "is compared with a sweep pinned to one",
+)
+
+
+@_NEEDS_TWO_CPUS
+def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # tsvd 64 on this n=210 clique chain runs the dense eigh, whose last digits
+    # differed between one and two OpenBLAS threads before eigm.cli set one
+    pinned, unpinned = _sweep_on_one_cpu_and_on_all(
+        tmp_path, ["sweep", "--model", "tsvd", "--rank", "64", "--samples", "1"]
+    )
+    assert pinned == unpinned
+
+
+@_NEEDS_TWO_CPUS
+def test_two_pool_threads_importing_scipy_first_write_the_pinned_bytes(tmp_path):
+    # on all CPUs the pool runs both ccop points at once, and each is the
+    # first call in the process to import scipy.special (in the fit)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("samples = 1\n[ccop]\nomega = 0, 0.5\n[linear]\nomega = 0.5\n", encoding="utf-8")
+    pinned, unpinned = _sweep_on_one_cpu_and_on_all(tmp_path, ["sweep", "--config", str(cfg)])
+    assert pinned == unpinned
+    rows = pinned.decode().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",ok") for row in rows)
 
 
 # A drawn flag value is an edge value or, as often, a small valid one.

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigm.graphs import Graph
@@ -28,7 +28,7 @@ from eigm.probmatrix import (
 )
 from eigm.bounds import er_construction
 
-from conftest import complete_graph, pair_overlap_mean, prob_matrices
+from conftest import complete_graph, pair_overlap_mean, prob_matrices, small_graphs
 
 
 def brute_force_expected_triangles(p: ProbMatrix) -> float:
@@ -198,6 +198,14 @@ def test_to_dense_examples(triangle):
     assert np.array_equal(to_dense(triangle).mat, np.ones((3, 3)) - np.eye(3))
     with pytest.raises(CapacityError):
         to_dense(Graph.from_edges(DEFAULT_DENSE_CAP + 1, []))
+
+
+@given(small_graphs(max_n=12))
+@example(Graph.from_edges(1, []))
+@example(Graph.from_edges(5, [(1, 3)]))  # three isolated nodes
+@settings(max_examples=100, deadline=None)
+def test_to_dense_equals_the_csr_adjacency(g):
+    assert np.array_equal(to_dense(g).mat, g.to_csr(np.float64).toarray())
 
 
 def test_sample_determinism_and_limits(triangle):
