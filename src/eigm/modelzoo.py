@@ -91,13 +91,12 @@ def hdop(a: Graph, h: int) -> ProbMatrix:
     pinned[order[:h]] = True
     free = np.flatnonzero(~pinned)
 
-    if free.size > 0:  # fit first: out is n x n, so the fit's peak must not add to it
-        residual_deg = (deg - a.to_csr() @ pinned.astype(np.int64))[free]
-        _, p_sub, _ = fit_odds_product(residual_deg)
+    # fit first: out is n x n, so the fit's peak must not add to it
+    residual_deg = (deg - np.bincount(a._rows()[pinned[a.indices]], minlength=n))[free]
+    p_sub = fit_odds_product(residual_deg)[1].mat if free.size else np.zeros((0, 0))
     out = np.zeros((n, n))
     out[a._rows(), a.indices] = 1.0
-    if free.size > 0:
-        out[np.ix_(free, free)] = p_sub.mat
+    out[np.ix_(free, free)] = p_sub
     return ProbMatrix.from_array(out)
 
 
@@ -122,8 +121,7 @@ def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
     s = 0.0
     lo = float(-vals.max())          # f(lo) == 0
     hi = float(1.0 - vals.min())     # f(hi) == npairs
-    clipped = np.empty_like(vals)  # clip(L + s), in (0, 1) exactly where L + s is
-    inside, below = np.empty((2, npairs), dtype=bool)  # every step reuses all three
+    clipped = np.empty_like(vals)  # clip(L + s), reused by every step
     for _ in range(200):
         np.clip(np.add(vals, s, out=clipped), 0.0, 1.0, out=clipped)
         err = float(clipped.sum()) - target_volume
@@ -133,9 +131,7 @@ def fit_volume_shift(l: np.ndarray, target_volume: float) -> float:
             hi = min(hi, s)
         else:
             lo = max(lo, s)
-        np.greater(clipped, 0.0, out=inside)
-        inside &= np.less(clipped, 1.0, out=below)
-        slope = float(np.count_nonzero(inside))
+        slope = float(np.count_nonzero(clipped > 0.0) - np.count_nonzero(clipped == 1.0))
         if slope > 0 and lo < s - err / slope < hi:
             s = s - err / slope
         else:

@@ -27,8 +27,8 @@ DEFAULT_DENSE_CAP = 10000
 
 _RANGE_SLACK = 1e-9
 
-# Pairs per row block of `sample`: 2**15 and 2**16 slowed the power-law bench
-# sweep by 9% (page faults), and 2**17 raised its peak RSS by 4.6 MiB.
+# Pairs per row block of `_upper_blocks`: 2**15 and 2**16 slowed the power-law
+# bench sweep by 9% (page faults), and 2**17 raised its peak RSS by 4.6 MiB.
 _SAMPLE_BLOCK = 1 << 18
 
 
@@ -127,6 +127,16 @@ def overlap(p: ProbMatrix) -> float:
     return float(np.einsum("ij,ij->", p.mat, p.mat) / 2.0 / vol)
 
 
+def _upper_blocks(n: int):
+    """Yield (i0, i1, mask) per row block of about ``_SAMPLE_BLOCK`` pairs, in
+    row-major order; ``mask`` marks the pairs i < j in rows i0:i1 of n x n."""
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n, i0 + max(1, _SAMPLE_BLOCK // (n - 1 - i0)))
+        yield i0, i1, ~np.tri(i1 - i0, n, k=i0, dtype=bool)
+        i0 = i1
+
+
 def sample(p: ProbMatrix, seed: int) -> Graph:
     """Draw one graph from the model, deterministically in ``seed``.
 
@@ -136,13 +146,10 @@ def sample(p: ProbMatrix, seed: int) -> Graph:
     Row blocks of about ``_SAMPLE_BLOCK`` pairs keep the peak near 4 MiB.
     """
     n, rng = p.n, make_rng(seed)
-    keys, i0 = [np.zeros(0, np.intp)], 0
-    while i0 < n - 1:
-        i1 = min(n, i0 + max(1, _SAMPLE_BLOCK // (n - 1 - i0)))
-        hit = ~np.tri(i1 - i0, n, k=i0, dtype=bool)  # the block's upper-triangle mask
+    keys = [np.zeros(0, np.intp)]
+    for i0, i1, hit in _upper_blocks(n):
         hit[hit] = rng.random(np.count_nonzero(hit)) < p.mat[i0:i1][hit]
         keys.append(np.flatnonzero(hit) + i0 * n)
-        i0 = i1
     return Graph.from_pairs(n, *np.divmod(np.concatenate(keys), n))
 
 
@@ -173,12 +180,11 @@ def expected_kcycles_trace(p: ProbMatrix, k: int) -> float:
     symmetric, trace(P^k) = <P^a, P^b> for k = a + b, with P^2 = P P^T and
     P^4 = P^2 (P^2)^T: numpy computes X @ X.T by BLAS syrk, in half the flops.
     """
-    if not 3 <= k <= 8:
-        raise ValueError("k must be in [3, 8]")
+    if not 3 <= k <= 6:
+        raise ValueError("k must be in [3, 6]")
     q = p.mat @ p.mat.T
     r = q @ q.T if k >= 5 else q  # P^4, or P^2 for k <= 4
-    a = q @ p.mat if k == 7 else {3: p.mat, 4: q, 5: p.mat, 6: q, 8: r}[k]
-    return float(np.vdot(a, r) / (2.0 * k))
+    return float(np.vdot(p.mat if k % 2 else q, r) / (2.0 * k))
 
 
 def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import er_construction
 from .graphs import Graph
-from .probmatrix import ProbMatrix, _check_dense_cap, sample
+from .probmatrix import ProbMatrix, _check_dense_cap, _upper_blocks
 from .rng import make_rng
 
 
@@ -15,9 +14,9 @@ def random_probmatrix(n: int, seed: int, scale: float = 1.0) -> ProbMatrix:
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
     _check_dense_cap(n)
-    upper = ~np.tri(n, dtype=bool)
-    a = np.zeros((n, n))
-    a[upper] = a.T[upper] = make_rng(seed).random(n * (n - 1) // 2) * scale
+    rng, a = make_rng(seed), np.zeros((n, n))
+    for i0, i1, upper in _upper_blocks(n):  # rows i0:i1 and their mirror columns
+        a[i0:i1][upper] = a[:, i0:i1].T[upper] = rng.random(np.count_nonzero(upper)) * scale
     return ProbMatrix.from_array(a)
 
 
@@ -89,7 +88,7 @@ def clustered_graph(n_cliques: int, clique_size: int, bridge_prob: float, seed: 
 
     A stand-in for social-network structure in demos and trend tests, where
     uniform random graphs are too triangle-poor to show the overlap trade-off.
-    The bridges are one :func:`sample` of the uniform ``bridge_prob`` matrix.
+    Its bridges are the edges :func:`sample` would draw from the uniform P = bridge_prob.
     """
     if n_cliques < 1 or clique_size < 2:
         raise ValueError("need n_cliques >= 1 and clique_size >= 2")
@@ -99,9 +98,12 @@ def clustered_graph(n_cliques: int, clique_size: int, bridge_prob: float, seed: 
     _check_dense_cap(n)
     first = np.arange(0, n, clique_size, dtype=np.int64)[:, None]
     iu, ju = np.triu_indices(clique_size, 1)
-    keys = np.concatenate([
+    keys = [
         ((first + iu) * n + first + ju).ravel(),  # clique edges
         (first[:-1] * n + first[1:]).ravel(),  # chain edges keep the graph connected
-        sample(er_construction(n, bridge_prob), seed).edge_keys(),
-    ])
-    return Graph.from_pairs(n, *np.divmod(np.unique(keys), n))
+    ]
+    rng = make_rng(seed)
+    for i0, _, hit in _upper_blocks(n):  # the bridges, drawn as `sample` draws
+        hit[hit] = rng.random(np.count_nonzero(hit)) < bridge_prob
+        keys.append(np.flatnonzero(hit) + i0 * n)
+    return Graph.from_pairs(n, *np.divmod(np.unique(np.concatenate(keys)), n))

@@ -673,6 +673,19 @@ def test_verify_cell_verify_and_sample_run_without_scipy(tmp_path):
     assert (tmp_path / "p_sample0.edges").exists()
 
 
+def test_hdop_builds_without_scipy_sparse():
+    # hdop counts each node's pinned neighbours with np.bincount, not a CSR product
+    code = ("import sys\nfrom eigm.modelzoo import hdop\nfrom eigm.synth import clustered_graph\n"
+            "hdop(clustered_graph(6, 4, 0.05, seed=0), 3)\nprint('scipy.sparse' in sys.modules)")
+    assert _python(code) == "False"
+
+
+def test_importing_synth_loads_neither_bounds_nor_stats():
+    # the clustered references draw their bridges without bounds.er_construction
+    code = "import sys, eigm.synth; print([m for m in sys.modules if m in ('eigm.bounds', 'eigm.stats')])"
+    assert _python(code) == "[]"
+
+
 def test_importing_eigm_loads_no_numpy_and_serves_only_four_graph_names():
     # eigm.cli can set the BLAS thread count only if numpy is not yet loaded
     assert _python("import sys, eigm; print('numpy' in sys.modules)") == "False"

@@ -462,7 +462,7 @@ def test_kcycles_exact_matches_ordered_tuple_oracle(case):
         assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
 
 
-@given(st.integers(1, 60), st.integers(3, 8), st.integers(0, 2**32 - 1),
+@given(st.integers(1, 60), st.integers(3, 6), st.integers(0, 2**32 - 1),
        st.sampled_from([1.0, 0.1]))
 @settings(max_examples=100, deadline=None)
 def test_kcycle_trace_matches_matrix_power_oracle(n, k, seed, scale):
@@ -485,8 +485,8 @@ def sampler_cases(draw):
     return ProbMatrix.from_array(m), draw(st.integers(0, 2**64 - 1))
 
 
-# Row-block sizes for `sample`: one pair per block, blocks that split and
-# join rows, and the default, which covers any n <= 40 in one block.
+# Row-block sizes for `_upper_blocks`: one pair per block, blocks that split
+# and join rows, and the default, which covers any n <= 40 in one block.
 _SAMPLE_BLOCKS = (1, 2, 7, 64, probmatrix._SAMPLE_BLOCK)
 
 
@@ -537,7 +537,9 @@ def test_empirical_overlap_matches_pairwise_oracle(case, k):
 @settings(max_examples=150, deadline=None)
 def test_clustered_graph_matches_loop_oracle(n_cliques, clique_size, bridge_prob, seed):
     want = oracles.clustered_graph(n_cliques, clique_size, bridge_prob, seed)
-    _assert_same_graph(clustered_graph(n_cliques, clique_size, bridge_prob, seed), want)
+    for block in _SAMPLE_BLOCKS:
+        with mock.patch.object(probmatrix, "_SAMPLE_BLOCK", block):
+            _assert_same_graph(clustered_graph(n_cliques, clique_size, bridge_prob, seed), want)
 
 
 def _assert_writes_text_oracle(p: ProbMatrix):
@@ -640,7 +642,10 @@ def test_header_only_file_is_the_zero_matrix_without_warnings(tmp_path):
 @pytest.mark.parametrize("scale", [1.0, 0.1])
 def test_random_probmatrix_matches_index_array_oracle(scale):
     for n in range(1, 41):
-        assert random_probmatrix(n, 7 * n, scale) == oracles.random_probmatrix(n, 7 * n, scale)
+        want = oracles.random_probmatrix(n, 7 * n, scale)
+        for block in _SAMPLE_BLOCKS:
+            with mock.patch.object(probmatrix, "_SAMPLE_BLOCK", block):
+                assert random_probmatrix(n, 7 * n, scale) == want
 
 
 def _twin_classes(g: Graph) -> int:

@@ -46,7 +46,7 @@ def test_random_probmatrix_rejects_scale_outside_unit_interval(scale):
 
 
 def test_random_probmatrix_peak_memory():
-    # the result, the draws and an n x n boolean mask; from_array makes no copy
+    # the result and one row block's draws and mask; from_array makes no copy
     n = 1000
     random_probmatrix(4, seed=0)
     tracemalloc.start()
@@ -56,6 +56,19 @@ def test_random_probmatrix_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * n * n
+
+
+def test_clustered_graph_peak_memory():
+    # the bridges are drawn in row blocks, with no n x n matrix: at n=2100 a
+    # uniform P alone would take 33.6 MiB
+    clustered_graph(2, 7, 5e-4, seed=0)
+    tracemalloc.start()
+    try:
+        clustered_graph(300, 7, 5e-4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize(
