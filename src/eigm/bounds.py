@@ -10,7 +10,8 @@ three bounds follow from it:
 Each check returns a :class:`BoundReport` comparing an exact expectation
 (dense trace or combinatorial enumeration) or a Monte-Carlo estimate
 against the bound.  The uniform (Erdos-Renyi) matrix makes all three
-asymptotically tight; er_construction builds it.
+asymptotically tight; er_construction builds it, and the clustering check
+samples it with ``sample_uniform`` without building it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .probmatrix import (
     expected_kcycles_exact,
     expected_kcycles_trace,
     expected_triangles,
-    sample,
+    sample_uniform,
     volume,
 )
 from .rng import derive_seed
@@ -50,6 +51,11 @@ class BoundReport:
     @property
     def ratio(self) -> float:
         return self.lhs / self.rhs
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
 
 
 def _ov_times_vol(p: ProbMatrix) -> float:
@@ -97,24 +103,26 @@ def check_kcycle_bound(p: ProbMatrix, k: int) -> BoundReport:
 def check_cc_tightness(n: int, gamma: float, samples: int, seed: int) -> BoundReport:
     """Monte-Carlo clustering of uniform models against its predicted level.
 
-    Samples from the uniform matrix with entry gamma and compares the mean
-    global clustering coefficient to gamma, the level the tightness
-    analysis predicts; ``holds`` is keyed to |mean - gamma| <=
-    max(0.02, 0.06 * gamma).  The reported rhs is the clustering bound
-    expression gamma^{3/2} * n / V^{1/2} with its unspecified constant
-    taken as 1, for reference only.  The construction requires volume >= 2n.
+    Samples the uniform matrix with entry gamma through ``sample_uniform``,
+    without building it, and compares the mean global clustering
+    coefficient to gamma, the level the tightness analysis predicts;
+    ``holds`` is keyed to |mean - gamma| <= max(0.02, 0.06 * gamma).  The
+    reported rhs is the clustering bound expression gamma^{3/2} * n / V^{1/2},
+    with V = gamma * n(n-1)/2 and its unspecified constant taken as 1, for
+    reference only.  The construction requires volume >= 2n.
     """
     if samples < 3:
         raise ValueError("need at least 3 samples")
-    p = er_construction(n, gamma)
-    vol = volume(p)
+    _check_gamma(gamma)
+    _check_dense_cap(n)
+    vol = gamma * (n * (n - 1) / 2)
     if vol < 2.0 * n:
         raise ValueError(
             f"hypothesis violated: volume {vol:.1f} < 2n = {2 * n} "
             "(raise gamma or n)"
         )
     vals = [
-        global_clustering(sample(p, derive_seed(seed, "cc-tightness", t)))
+        global_clustering(sample_uniform(n, gamma, derive_seed(seed, "cc-tightness", t)))
         for t in range(samples)
     ]
     mean = float(np.mean(vals))
@@ -136,8 +144,7 @@ def er_construction(n: int, gamma: float) -> ProbMatrix:
     Has overlap exactly gamma and volume gamma * n(n-1)/2; the tight
     example for all three bounds.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     _check_dense_cap(n)
     a = np.full((n, n), gamma)
     np.fill_diagonal(a, 0.0)

@@ -137,6 +137,17 @@ def _upper_blocks(n: int):
         i0 = i1
 
 
+def _sample(n: int, seed: int, probs) -> Graph:
+    """The draw loop of :func:`sample` and :func:`sample_uniform`: a pair that
+    ``hit`` marks in rows i0:i1 is an edge iff its draw < ``probs(i0, i1, hit)``."""
+    rng = make_rng(seed)
+    keys = [np.zeros(0, np.intp)]
+    for i0, i1, hit in _upper_blocks(n):
+        hit[hit] = rng.random(np.count_nonzero(hit)) < probs(i0, i1, hit)
+        keys.append(np.flatnonzero(hit) + i0 * n)
+    return Graph.from_pairs(n, *np.divmod(np.concatenate(keys), n))
+
+
 def sample(p: ProbMatrix, seed: int) -> Graph:
     """Draw one graph from the model, deterministically in ``seed``.
 
@@ -145,12 +156,13 @@ def sample(p: ProbMatrix, seed: int) -> Graph:
     order of the upper triangle; the pair is an edge iff draw < P[i, j].
     Row blocks of about ``_SAMPLE_BLOCK`` pairs keep the peak near 4 MiB.
     """
-    n, rng = p.n, make_rng(seed)
-    keys = [np.zeros(0, np.intp)]
-    for i0, i1, hit in _upper_blocks(n):
-        hit[hit] = rng.random(np.count_nonzero(hit)) < p.mat[i0:i1][hit]
-        keys.append(np.flatnonzero(hit) + i0 * n)
-    return Graph.from_pairs(n, *np.divmod(np.concatenate(keys), n))
+    return _sample(p.n, seed, lambda i0, i1, hit: p.mat[i0:i1][hit])
+
+
+def sample_uniform(n: int, prob: float, seed: int) -> Graph:
+    """:func:`sample` of the n x n matrix with every off-diagonal entry
+    ``prob``, drawn without building it: the same edges, in about 4 MiB."""
+    return _sample(n, seed, lambda i0, i1, hit: prob)
 
 
 def empirical_overlap(p: ProbMatrix, samples: list[Graph]) -> float:
@@ -193,18 +205,23 @@ def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:
 
     A k-cycle is a set of k nodes in a cyclic order, up to rotation and
     reflection.  Each node set is taken in the (k-1)!/2 orders that start
-    at its first node and whose second node precedes its last.  Restricted
-    to small instances by design.
+    at its first node and whose second node precedes its last.  Each set's
+    k x k block is gathered once, and the cycle edges are multiplied into an
+    (orders, sets) product one edge at a time.  Restricted to small
+    instances by design.
     """
     n = p.n
     if n > 14 or k > 6:
         raise ValueError("exact k-cycle oracle limited to n <= 14, k <= 6")
     if k < 3:
         raise ValueError("k must be >= 3")
-    sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    orders = [(0, *q) for q in itertools.permutations(range(1, k)) if q[0] < q[-1]]
-    cyc = sets.reshape(-1, k)[:, orders]
-    return float(p.mat[cyc, np.roll(cyc, -1, axis=-1)].prod(-1).sum())
+    nodes = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k).T
+    sub = p.mat[nodes[:, None], nodes[None, :]]  # sub[a, b, s]: P between nodes a, b of set s
+    orders = np.array([(0, *q) for q in itertools.permutations(range(1, k)) if q[0] < q[-1]])
+    prod = np.ones((len(orders), nodes.shape[1]))  # (O, S): this layout fixes the sum's rounding
+    for a, b in zip(orders.T, np.roll(orders, -1, axis=1).T):
+        prod *= sub[a, b]
+    return float(prod.sum())
 
 
 def convex_combine(p: ProbMatrix, a: Graph, omega: float) -> ProbMatrix:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph
-from .probmatrix import ProbMatrix, _check_dense_cap, _upper_blocks
+from .probmatrix import ProbMatrix, _check_dense_cap, _upper_blocks, sample_uniform
 from .rng import make_rng
 
 
@@ -88,7 +88,7 @@ def clustered_graph(n_cliques: int, clique_size: int, bridge_prob: float, seed: 
 
     A stand-in for social-network structure in demos and trend tests, where
     uniform random graphs are too triangle-poor to show the overlap trade-off.
-    Its bridges are the edges :func:`sample` would draw from the uniform P = bridge_prob.
+    Its bridges are the edges :func:`sample_uniform` draws at ``bridge_prob``.
     """
     if n_cliques < 1 or clique_size < 2:
         raise ValueError("need n_cliques >= 1 and clique_size >= 2")
@@ -102,8 +102,5 @@ def clustered_graph(n_cliques: int, clique_size: int, bridge_prob: float, seed: 
         ((first + iu) * n + first + ju).ravel(),  # clique edges
         (first[:-1] * n + first[1:]).ravel(),  # chain edges keep the graph connected
     ]
-    rng = make_rng(seed)
-    for i0, _, hit in _upper_blocks(n):  # the bridges, drawn as `sample` draws
-        hit[hit] = rng.random(np.count_nonzero(hit)) < bridge_prob
-        keys.append(np.flatnonzero(hit) + i0 * n)
+    keys.append(sample_uniform(n, bridge_prob, seed).edge_keys())  # the bridges
     return Graph.from_pairs(n, *np.divmod(np.unique(np.concatenate(keys)), n))

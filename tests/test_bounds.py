@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eigm.bounds import (
 from eigm.cli import main
 from eigm.graphs import Graph
 from eigm.probmatrix import (
+    CapacityError,
     ProbMatrix,
     ZeroVolumeError,
     expected_kcycles_exact,
@@ -139,6 +141,38 @@ def test_cc_tightness_hypothesis_guard():
         check_cc_tightness(500, 0.001, samples=3, seed=0)
     with pytest.raises(ValueError):
         check_cc_tightness(500, 0.1, samples=2, seed=0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.5])
+def test_cc_tightness_refuses_gamma_outside_unit_interval(gamma):
+    with pytest.raises(ValueError, match=rf"^gamma must be in \(0, 1\], got {gamma}$"):
+        check_cc_tightness(500, gamma, samples=3, seed=0)
+    with pytest.raises(ValueError, match="^gamma"):  # gamma is checked before the cap
+        check_cc_tightness(10001, gamma, samples=3, seed=0)
+
+
+def test_cc_tightness_refuses_n_above_the_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="^n=10001 exceeds dense-matrix cap 10000$"):
+            check_cc_tightness(10001, 0.1, samples=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cc_tightness_peaks_under_eight_mib():
+    # samples are drawn in row blocks with no n x n uniform matrix, which
+    # alone would take 17.2 MiB here
+    check_cc_tightness(60, 0.5, samples=3, seed=0)
+    tracemalloc.start()
+    try:
+        check_cc_tightness(1500, 0.05, samples=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_er_ratio_increases_toward_one():

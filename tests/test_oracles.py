@@ -1,14 +1,16 @@
 """Property tests: the sparse/vectorized kernels equal the loop oracles, the
 degree-class odds-product fit equals the node-level Newton fit, the
 power-law fit that reads each tail as a suffix equals the per-cutoff one, the
-once-per-cycle k-cycle count equals the ordered-tuple sum, the masked
-sampler, text writer, random matrix and volume shift equal their
-index-array oracles, the keyed clustered graph, empirical overlap and
-edge-list writer equal their loop, pairwise and tuple-sort oracles, the
-``np.loadtxt`` text reader equals the line-by-line reader, the eigenpair
-tsvd model solved on open-twin classes equals the dense-SVD one, and the
-linear, convex-combination and hdop builders that write the adjacency at
-its CSR positions equal, bit for bit, their dense-adjacency oracles."""
+once-per-cycle k-cycle count equals the ordered-tuple sum and, bit for bit,
+the whole-array product, the uniform sampler equals, bit for bit, the sample
+of the built uniform matrix, the masked sampler, text writer, random matrix
+and volume shift equal their index-array oracles, the keyed clustered graph,
+empirical overlap and edge-list writer equal their loop, pairwise and
+tuple-sort oracles, the ``np.loadtxt`` text reader equals the line-by-line
+reader, the eigenpair tsvd model solved on open-twin classes equals the
+dense-SVD one, and the linear, convex-combination and hdop builders that
+write the adjacency at its CSR positions equal, bit for bit, their
+dense-adjacency oracles."""
 
 import importlib.util
 import itertools
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_connected_graph
 from eigm import oddsproduct, probmatrix, stats
+from eigm.bounds import er_construction
 from eigm.graphs import (
     Graph,
     connected_components,
@@ -47,6 +50,7 @@ from eigm.probmatrix import (
     load_probmatrix,
     overlap,
     sample,
+    sample_uniform,
     save_probmatrix,
     to_dense,
     volume,
@@ -462,6 +466,23 @@ def test_kcycles_exact_matches_ordered_tuple_oracle(case):
         assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
 
 
+@given(st.integers(1, 14), st.integers(3, 6), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.sampled_from([1.0, 0.1, 1e-60, 1e-300]))
+@settings(max_examples=150, deadline=None)
+def test_kcycles_exact_equals_whole_array_product(n, k, seed, lo, scale):
+    # entries below lo become zeros; at scales 1e-60 and 1e-300 the products
+    # pass through subnormals and underflow to zero
+    m = np.array(random_probmatrix(n, seed).mat)
+    m[m < lo] = 0.0
+    p = ProbMatrix.from_array(m * scale)
+    # the (sets, orders, k) index cube, gathered and multiplied in one expression
+    sets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    orders = [(0, *q) for q in itertools.permutations(range(1, k)) if q[0] < q[-1]]
+    cyc = sets.reshape(-1, k)[:, orders]
+    want = float(p.mat[cyc, np.roll(cyc, -1, axis=-1)].prod(-1).sum())
+    assert expected_kcycles_exact(p, k) == want
+
+
 @given(st.integers(1, 60), st.integers(3, 6), st.integers(0, 2**32 - 1),
        st.sampled_from([1.0, 0.1]))
 @settings(max_examples=100, deadline=None)
@@ -510,6 +531,16 @@ def test_sample_matches_index_array_oracle_at_tiny_n(n):
         for block in _SAMPLE_BLOCKS:
             with mock.patch.object(probmatrix, "_SAMPLE_BLOCK", block):
                 assert sample(p, seed + 1) == expect
+
+
+@given(st.integers(1, 40), st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sample_uniform_matches_sample_of_uniform_matrix(n, prob, seed):
+    want = sample(er_construction(n, prob), seed)
+    for block in _SAMPLE_BLOCKS:
+        with mock.patch.object(probmatrix, "_SAMPLE_BLOCK", block):
+            assert sample_uniform(n, prob, seed) == want
 
 
 @given(sampler_cases(), st.integers(0, 6))

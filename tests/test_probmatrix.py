@@ -27,6 +27,7 @@ from eigm.probmatrix import (
     volume,
 )
 from eigm.bounds import er_construction
+from eigm.synth import random_probmatrix
 
 from conftest import complete_graph, pair_overlap_mean, prob_matrices, small_graphs
 
@@ -345,6 +346,20 @@ def test_kcycles_exact_examples():
         expected_kcycles_exact(er_construction(15, 0.5), 4)
     with pytest.raises(ValueError, match="^k must be >= 3$"):
         expected_kcycles_exact(er, 2)
+
+
+def test_kcycles_exact_peaks_under_eight_mib():
+    # one k x k block per node set and an (orders, sets) product, about
+    # 4 MiB at n = 14, k = 6; a (sets, orders, k) index cube would take 25 MiB
+    p = random_probmatrix(14, 3)
+    expected_kcycles_exact(random_probmatrix(6, 3), 6)
+    tracemalloc.start()
+    try:
+        expected_kcycles_exact(p, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @given(prob_matrices(max_n=8))

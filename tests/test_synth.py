@@ -97,6 +97,7 @@ def test_generators_refuse_huge_n_before_allocating(build):
         ["verify", "--theorem", "cc", "--n", "300000"],
         ["verify", "--theorem", "tri", "--n", "100000000", "--trials", "1"],
         ["cell-verify", "--n", "100000000"],
+        ["verify", "--theorem", "cc", "--n", "10001"],
     ],
 )
 def test_cli_huge_n_is_one_line_error(argv, capsys):
