@@ -114,6 +114,8 @@ def check_cc_tightness(n: int, gamma: float, samples: int, seed: int) -> BoundRe
     if samples < 3:
         raise ValueError("need at least 3 samples")
     _check_gamma(gamma)
+    if n < 2:
+        raise ValueError(f"need n >= 2 nodes, got n={n}")
     _check_dense_cap(n)
     vol = gamma * (n * (n - 1) / 2)
     if vol < 2.0 * n:

@@ -28,7 +28,7 @@ from .graphs import (
     load_edge_list,
     serialize_edge_list,
 )
-from .modelzoo import KNOB_KEYS, MODEL_KINDS, ModelSpec
+from .modelzoo import KNOB_KEYS
 from .oddsproduct import fit_odds_product
 from .probmatrix import _check_dense_cap, load_probmatrix, sample, save_probmatrix
 from .rng import derive_seed
@@ -37,7 +37,7 @@ from .svgplot import render_sweep_svg
 from .sweep import (
     GLOBAL_KEYS,
     ExperimentConfig,
-    _parse_grid,
+    grid_specs,
     parse_config,
     reference_record,
     run_sweep,
@@ -142,21 +142,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _specs_from_flags(args) -> tuple[ModelSpec, ...]:
-    knob_flag = KNOB_KEYS[args.model]
-    raw = getattr(args, knob_flag)
-    if raw is None:
-        args.usage_error(f"--model {args.model} needs --{knob_flag}")
-    return tuple(ModelSpec(args.model, k) for k in _parse_grid(raw, args.model))
-
-
 def cmd_sweep(args) -> int:
     for key in dict.fromkeys(KNOB_KEYS.values()):  # omega, h, rank
         if getattr(args, key) is not None and key != KNOB_KEYS.get(args.model):
             kinds = " or ".join(k for k, v in KNOB_KEYS.items() if v == key)
             args.usage_error(f"argument --{key}: applies only with --model {kinds}")
     if args.model:
-        config = ExperimentConfig(_specs_from_flags(args))
+        knob_flag = KNOB_KEYS[args.model]
+        if getattr(args, knob_flag) is None:
+            args.usage_error(f"--model {args.model} needs --{knob_flag}")
+        config = ExperimentConfig(grid_specs(args.model, getattr(args, knob_flag)))
     elif args.config:
         config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     else:
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--plot", action="store_true", default=None, help="also emit sweep.svg")
-    source.add_argument("--model", choices=MODEL_KINDS,
+    source.add_argument("--model", choices=KNOB_KEYS,
                         default=None, help="single-model mode instead of a config file")
     p.add_argument("--omega", default=None,
                    help="omega value or comma list (linear, ccop)")

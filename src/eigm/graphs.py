@@ -1,10 +1,11 @@
 """Simple undirected graphs: ingestion, preprocessing, serialization.
 
 Graphs are stored in CSR form (``indptr``/``indices``) with neighbor lists
-sorted per row.  All constructors deduplicate edges, symmetrize, and drop
-self-loops, so every :class:`Graph` in the program satisfies the same
-invariants: symmetric adjacency, no self-loops, no duplicate neighbors,
-and ``2 * m`` equal to the degree sum.
+sorted per row.  Every :class:`Graph` comes from :meth:`Graph.from_pairs`,
+which refuses n < 1, a pair outside 0 <= u < v < n and a repeated pair, so
+every graph has the same invariants: symmetric adjacency, no self-loops, no
+duplicate neighbors, and ``2 * m`` equal to the degree sum.
+:meth:`Graph.validate` is the check of them that tests call.
 
 Every kernel here is vectorized: construction, validation and edge
 listing work on whole index arrays, and connected components come from
@@ -42,8 +43,6 @@ class Graph:
 
         Duplicates and orientation are collapsed, self-loops dropped.
         """
-        if n <= 0:
-            raise ValueError("graph must have at least one node")
         e = np.array(list(edges), dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -55,9 +54,7 @@ class Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         e = e[e[:, 0] != e[:, 1]]
         keys = np.unique(e.min(axis=1) * np.int64(n) + e.max(axis=1))
-        g = cls.from_pairs(n, *np.divmod(keys, n))
-        g.validate()
-        return g
+        return cls.from_pairs(n, *np.divmod(keys, n))
 
     @classmethod
     def from_adjacency(cls, a: np.ndarray) -> "Graph":
@@ -70,6 +67,8 @@ class Graph:
     @classmethod
     def from_pairs(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
         """Vectorized constructor from distinct upper-triangle pairs (u < v)."""
+        if n <= 0:
+            raise ValueError("graph must have at least one node")
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         if us.size and not (

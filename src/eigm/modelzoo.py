@@ -24,7 +24,6 @@ from .probmatrix import ProbMatrix, _check_dense_cap, convex_combine
 
 # Each model kind and the name of its knob, as a sweep config key and a CLI flag.
 KNOB_KEYS = {"linear": "omega", "ccop": "omega", "hdop": "h", "tsvd": "rank"}
-MODEL_KINDS = tuple(KNOB_KEYS)
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class ModelSpec:
     knob: float
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in KNOB_KEYS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         # sample seeds hash repr(knob): 4 and 4.0 must draw the same samples,
         # and so must -0.0 and 0.0 (adding +0.0 turns -0.0 into 0.0)

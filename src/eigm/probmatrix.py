@@ -162,6 +162,8 @@ def sample(p: ProbMatrix, seed: int) -> Graph:
 def sample_uniform(n: int, prob: float, seed: int) -> Graph:
     """:func:`sample` of the n x n matrix with every off-diagonal entry
     ``prob``, drawn without building it: the same edges, in about 4 MiB."""
+    if not 0.0 <= prob <= 1.0:  # NaN fails too
+        raise ValueError(f"prob must be in [0, 1], got {prob}")
     return _sample(n, seed, lambda i0, i1, hit: prob)
 
 

@@ -57,11 +57,12 @@ class SweepRow:
     status: str = "ok"
 
 
-def _parse_grid(raw: str, kind: str) -> list[float]:
-    vals = [float(tok) for tok in raw.replace(",", " ").split()]
-    if not vals:
+def grid_specs(kind: str, raw: str) -> tuple[ModelSpec, ...]:
+    """The grid points of one model kind from its comma- or space-separated knob values."""
+    specs = tuple(ModelSpec(kind, float(tok)) for tok in raw.replace(",", " ").split())
+    if not specs:
         raise ValueError(f"empty knob grid for {kind}")
-    return vals
+    return specs
 
 
 # The global config keys, each also an ExperimentConfig field and a sweep
@@ -120,8 +121,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if knob_key not in section:
             raise ValueError(f"section [{kind}] missing knob key '{knob_key}'")
         _check_keys(section, (knob_key,), f"in section [{kind}]")
-        for knob in _parse_grid(section[knob_key], kind):
-            specs.append(ModelSpec(kind=kind, knob=knob))
+        specs += grid_specs(kind, section[knob_key])
     return ExperimentConfig(tuple(specs), **values)
 
 

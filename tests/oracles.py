@@ -118,9 +118,8 @@ def edge_array(g: Graph) -> np.ndarray:
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Collect distinct pairs in a set, then fill the CSR arrays by hand."""
-    if n <= 0:
-        raise ValueError("graph must have at least one node")
+    """Collect distinct pairs in a set, then fill the CSR arrays by hand.
+    Ids are checked before n, so at n <= 0 any edge is out of range."""
     pairs = set()
     for u, v in edges:
         u, v = int(u), int(v)
@@ -129,6 +128,8 @@ def from_edges(n: int, edges) -> Graph:
         if u == v:
             continue
         pairs.add((min(u, v), max(u, v)))
+    if n <= 0:
+        raise ValueError("graph must have at least one node")
     deg = np.zeros(n, dtype=np.int64)
     for u, v in pairs:
         deg[u] += 1

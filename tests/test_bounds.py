@@ -151,6 +151,14 @@ def test_cc_tightness_refuses_gamma_outside_unit_interval(gamma):
         check_cc_tightness(10001, gamma, samples=3, seed=0)
 
 
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_cc_tightness_refuses_fewer_than_two_nodes(n, capsys):
+    with pytest.raises(ValueError, match=f"^need n >= 2 nodes, got n={n}$"):
+        check_cc_tightness(n, 0.5, samples=3, seed=0)
+    assert main(["verify", "--theorem", "cc", "--n", str(n)]) == 1
+    assert capsys.readouterr() == ("", f"error: need n >= 2 nodes, got n={n}\n")
+
+
 def test_cc_tightness_refuses_n_above_the_cap_before_allocating():
     tracemalloc.start()
     try:

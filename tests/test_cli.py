@@ -427,6 +427,19 @@ def test_sweep_single_model_flags(tmp_path, capsys):
     assert capsys.readouterr().err == "eigm sweep: error: --model hdop needs --h\n"
 
 
+def test_sweep_knob_flag_writes_the_bytes_of_the_config_grid(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text(serialize_edge_list(clustered_graph(3, 4, 0.1, seed=0)), encoding="utf-8")
+    config = tmp_path / "s.cfg"
+    config.write_text("[tsvd]\nrank = 4, 8\n", encoding="utf-8")
+    common = ["--input", str(edges), "--samples", "2", "--seed", "0", "--output-dir"]
+    flag, cfg = tmp_path / "flag", tmp_path / "cfg"
+    assert main(["sweep", "--model", "tsvd", "--rank", "4,8", *common, str(flag)]) == 0
+    assert main(["sweep", "--config", str(config), *common, str(cfg)]) == 0
+    assert "(2/2 points ok)" in capsys.readouterr().out
+    assert (flag / "sweep.csv").read_bytes() == (cfg / "sweep.csv").read_bytes()
+
+
 def test_sweep_empty_knob_flag_fails_like_empty_config_grid(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("0 1\n1 2\n2 0\n", encoding="utf-8")

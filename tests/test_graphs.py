@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from eigm.graphs import (
     parse_edge_list,
     serialize_edge_list,
 )
+from eigm.probmatrix import sample_uniform
 
 import oracles
 from conftest import small_graphs
@@ -206,6 +209,39 @@ def test_serialize_isolated_nodes():
 def test_construction_invariants(g):
     g.validate()
     assert degrees(g).sum() == 2 * g.m
+
+
+@given(
+    st.integers(-3, 8),
+    st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=12),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**64 - 1),
+)
+@example(4, [(0, 1), (1, 3)], 0.5, 0)
+@example(0, [], 0.5, 0)
+@example(-2, [(0, 1)], 1.0, 0)
+@settings(max_examples=200, deadline=None)
+def test_constructors_raise_or_return_a_valid_graph(n, pairs, prob, seed):
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    builds = {
+        "from_pairs": lambda: Graph.from_pairs(n, us, vs),
+        "from_edges": lambda: Graph.from_edges(n, pairs),
+        "sample_uniform": lambda: sample_uniform(n, prob, seed),
+    }
+    for name, build in builds.items():
+        try:
+            g = build()
+        except ValueError as exc:
+            if n <= 0:  # from_edges checks its ids first, and none is in range
+                want = "^graph must have at least one node$"
+                if name == "from_edges" and pairs:
+                    want = rf"out of range for n={n}$"
+                assert re.search(want, str(exc)), (name, str(exc))
+            continue
+        assert n >= 1, name
+        assert g.n == n
+        g.validate()
 
 
 @given(small_graphs())

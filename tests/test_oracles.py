@@ -114,7 +114,7 @@ def test_from_edges_matches_oracle(case):
 
 
 def test_from_edges_errors_match_oracle():
-    for n, edges in ((3, [(0, 1), (3, 1)]), (2, [(-1, 0)]), (0, [])):
+    for n, edges in ((3, [(0, 1), (3, 1)]), (2, [(-1, 0)]), (0, []), (0, [(0, 1)])):
         with pytest.raises(ValueError) as fast:
             Graph.from_edges(n, edges)
         with pytest.raises(ValueError) as slow:

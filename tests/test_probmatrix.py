@@ -22,12 +22,13 @@ from eigm.probmatrix import (
     load_probmatrix,
     overlap,
     sample,
+    sample_uniform,
     save_probmatrix,
     to_dense,
     volume,
 )
-from eigm.bounds import er_construction
-from eigm.synth import random_probmatrix
+from eigm.bounds import check_cc_tightness, er_construction
+from eigm.synth import clustered_graph, random_probmatrix
 
 from conftest import complete_graph, pair_overlap_mean, prob_matrices, small_graphs
 
@@ -218,6 +219,17 @@ def test_sample_determinism_and_limits(triangle):
     er = er_construction(30, 0.4)
     assert sample(er, 99) == sample(er, 99)
     assert sample(er, 99) != sample(er, 100)
+
+
+@pytest.mark.parametrize("prob", [-0.5, 1.5, float("nan"), float("inf")])
+def test_sample_uniform_refuses_prob_outside_the_unit_interval(prob):
+    with pytest.raises(ValueError, match=rf"^prob must be in \[0, 1\], got {prob}$"):
+        sample_uniform(5, prob, 0)
+    # its two callers keep their own, narrower checks, which run first
+    with pytest.raises(ValueError, match="^bridge_prob must be in"):
+        clustered_graph(2, 3, prob, 0)
+    with pytest.raises(ValueError, match="^gamma must be in"):
+        check_cc_tightness(50, prob, samples=3, seed=0)
 
 
 def test_sample_draw_order_contract():

@@ -19,6 +19,7 @@ from eigm.sweep import (
     SweepRow,
     _nan_row,
     evaluate_point,
+    grid_specs,
     parse_config,
     reference_record,
     run_sweep,
@@ -63,6 +64,16 @@ def test_parse_config_round_trip():
     kinds = [(s.kind, s.knob) for s in config.specs]
     assert ("linear", 0.0) in kinds and ("tsvd", 2.0) in kinds
     assert len(config.specs) == 5
+
+
+def test_config_sections_and_knob_flags_share_one_grid_parser():
+    specs = grid_specs("tsvd", "4 8")
+    assert specs == (ModelSpec("tsvd", 4), ModelSpec("tsvd", 8))
+    assert parse_config("[tsvd]\nrank = 4, 8\n").specs == specs
+    with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+        grid_specs("linear", "0.5, x")
+    with pytest.raises(ValueError, match="^empty knob grid for linear$"):
+        grid_specs("linear", " , ")
 
 
 def test_parse_config_takes_percent_signs_literally():
