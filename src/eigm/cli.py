@@ -197,11 +197,14 @@ def cmd_verify(args) -> int:
             check_cc_tightness(args.n, args.gamma, samples=args.trials, seed=args.seed)
         ]
     else:
-        # trial sizes are drawn from [n_min, max(n, n_min)]
+        # trial sizes are drawn from [n_min, n]
         n_min = 2 if args.theorem == "tri" else 4
+        if args.n < n_min:
+            args.usage_error(f"argument --n: must be at least {n_min} "
+                             f"with --theorem {args.theorem}, got {args.n}")
         reports = []
         for t in range(args.trials):
-            n = n_min + derive_seed(args.seed, "verify-n", t) % max(1, args.n - n_min + 1)
+            n = n_min + derive_seed(args.seed, "verify-n", t) % (args.n - n_min + 1)
             scale = 1.0 if t % 2 == 0 else 0.1
             p = random_probmatrix(n, derive_seed(args.seed, "verify-P", t), scale)
             if args.theorem == "tri":

@@ -1,20 +1,21 @@
 """Slow, loop-based reference implementations of the graph and statistics
-kernels, Pearson correlation from centred sums, the power-law tail fit
-with a fresh tail mask per cutoff, the dense odds-product P
-and node-level fit, the exact and matrix-power trace k-cycle counts, the
-text-format reader, the edge-list writer, the clustered graph and the
-pairwise empirical overlap, index-array statements of the sampler, the
-text writer, the random probability matrix and the volume shift, and the
-dense-SVD tsvd model.
+kernels, union-find component labels, Pearson correlation from centred
+sums, the power-law tail fit with a fresh tail mask per cutoff, the dense
+odds-product P and node-level fit, the exact and matrix-power trace
+k-cycle counts, the text-format reader, the edge-list writer, the
+clustered graph and the pairwise empirical overlap, index-array statements
+of the sampler, the text writer, the random probability matrix and the
+volume shift, and the dense-SVD tsvd model.
 
-``eigm`` computes these quantities with ``scipy.sparse``/``csgraph``
-primitives, fits the odds-product model on degree classes, lists each
-k-cycle once, parses the text format with ``np.loadtxt``, walks the
-upper triangle through boolean masks, keys each node pair u < v as
-u * n + v to sort, count and write pairs, and builds tsvd from the top-k
-symmetric eigenpairs.  The functions here state the definitions
-directly, one node, edge, tuple, line or explicit (i, j) pair at a time,
-and serve as oracles for the property tests in ``test_oracles.py``.
+``eigm`` computes these quantities with vectorized kernels on whole index
+arrays: it labels components by hook and shortcut, fits the odds-product
+model on degree classes, lists each k-cycle once, parses the text format
+with ``np.loadtxt``, walks the upper triangle through boolean masks, keys
+each node pair u < v as u * n + v to sort, count and write pairs, and
+builds tsvd from the top-k symmetric eigenpairs.  The functions here state
+the definitions directly, one node, edge, tuple, line or explicit (i, j)
+pair at a time, and serve as oracles for the property tests in
+``test_oracles.py``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,26 @@ def connected_components(g: Graph) -> list[list[int]]:
         if unvisited[start]:
             comps.append(sorted(_component_of(g, start, unvisited)))
     return comps
+
+
+def component_labels(g: Graph) -> tuple[int, np.ndarray]:
+    """Union-find over the edges that keeps each set's smallest member as
+    its root; components are numbered in increasing order of their roots."""
+    parent = list(range(g.n))
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for u in range(g.n):
+        for v in g.neighbors(u).tolist():
+            ru, rv = find(u), find(v)
+            parent[max(ru, rv)] = min(ru, rv)
+    roots = [find(u) for u in range(g.n)]
+    number = {r: i for i, r in enumerate(sorted(set(roots)))}
+    return len(number), np.array([number[r] for r in roots], dtype=np.int64)
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:

@@ -211,6 +211,25 @@ def test_verify_flag_that_would_be_ignored_is_a_usage_error(argv, message, capsy
     assert capsys.readouterr().err == f"eigm verify: error: {message}\n"
 
 
+@pytest.mark.parametrize("theorem, n, n_min", [
+    ("tri", "-5", 2), ("tri", "1", 2), ("kcycle", "0", 4), ("kcycle", "3", 4),
+])
+def test_verify_n_below_the_theorem_minimum_is_a_usage_error(theorem, n, n_min, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", theorem, "--n", n, "--trials", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"eigm verify: error: argument --n: must be at least {n_min} "
+        f"with --theorem {theorem}, got {n}\n"
+    )
+
+
+def test_verify_runs_at_the_theorem_minimum(capsys):
+    for theorem, n_min in (("tri", 2), ("kcycle", 4)):
+        assert main(["verify", "--theorem", theorem, "--n", str(n_min), "--trials", "3"]) == 0
+        assert capsys.readouterr().out.endswith("3/3 hold\n")
+
+
 def test_verify_defaults_apply_when_the_flags_are_omitted(tmp_path):
     for theorem, flag, default in (("cc", "--gamma", "0.1"), ("kcycle", "--k", "4")):
         common = ["verify", "--theorem", theorem, "--n", "60", "--trials", "3"]
@@ -684,6 +703,26 @@ def test_verify_cell_verify_and_sample_run_without_scipy(tmp_path):
             f"print({_SCIPY_MODULES})")
     assert _python(code).splitlines()[-1] == "[]"
     assert (tmp_path / "p_sample0.edges").exists()
+
+
+def test_ingest_runs_without_scipy(tmp_path, triangle_plus_edge):
+    # the largest component comes from a numpy kernel, not scipy.sparse.csgraph
+    argv = ["ingest", "--input", str(triangle_plus_edge), "--output-dir", str(tmp_path)]
+    code = f"import sys, eigm.cli\nassert eigm.cli.main({argv!r}) == 0\nprint({_SCIPY_MODULES})"
+    assert _python(code).splitlines()[-1] == "[]"
+
+
+def test_stats_and_linear_and_ccop_sweeps_run_without_scipy_sparse(tmp_path, triangle_plus_edge):
+    # stats and these model builds load scipy.special at most
+    out = str(tmp_path / "out")
+    runs = [["stats", "--reference", str(triangle_plus_edge), "--sample", str(triangle_plus_edge),
+             "--output", str(tmp_path / "stats.csv")]]
+    runs += [["sweep", "--model", model, "--omega", "0.5", "--samples", "2",
+              "--input", str(triangle_plus_edge), "--output-dir", out] for model in ("linear", "ccop")]
+    code = (f"import sys, eigm.cli\nfor argv in {runs!r}:\n    assert eigm.cli.main(argv) == 0\n"
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
+    assert _python(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_hdop_builds_without_scipy_sparse():

@@ -1,4 +1,5 @@
 """Property tests: the sparse/vectorized kernels equal the loop oracles, the
+hook-and-shortcut component labels equal a union-find's, the
 degree-class odds-product fit equals the node-level Newton fit, the
 power-law fit that reads each tail as a suffix equals the per-cutoff one, the
 once-per-cycle k-cycle count equals the ordered-tuple sum and, bit for bit,
@@ -23,7 +24,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse.csgraph
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +33,7 @@ from eigm import oddsproduct, probmatrix, stats
 from eigm.bounds import er_construction
 from eigm.graphs import (
     Graph,
+    _component_labels,
     connected_components,
     degrees,
     largest_connected_component,
@@ -192,31 +193,58 @@ def test_char_path_length_matches_dijkstra(g):
         assert char_path_length(lcc) == oracles.char_path_length(lcc)
 
 
-def _reversed_labels(connected_components):
-    """``connected_components`` with its component labels numbered backwards."""
+@st.composite
+def shuffled_forests(draw):
+    """Paths and random recursive trees on 1 to 400 nodes in random node
+    order, each tree edge cut with a drawn probability: one long path or
+    tree, many small components, or only isolated nodes."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    child = np.arange(1, n)
+    parent = child - 1 if draw(st.booleans()) else (rng.random(n - 1) * child).astype(np.int64)
+    keep = rng.random(n - 1) >= draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    return Graph.from_edges(n, np.column_stack([order[child], order[parent]])[keep])
 
-    def reversed_(*args, return_labels=True, **kwargs):
-        k, labels = connected_components(*args, **kwargs)
-        return (k, k - 1 - labels) if return_labels else k
 
-    return reversed_
+@given(st.one_of(graphs(), equal_size_components(), shuffled_forests()))
+@settings(max_examples=150, deadline=None)
+def test_component_labels_match_union_find(g):
+    count, labels = _component_labels(g)
+    count_ref, labels_ref = oracles.component_labels(g)
+    assert count == count_ref
+    assert labels.shape == (g.n,) and np.array_equal(labels, labels_ref)
+
+
+def test_component_labels_take_few_rounds_on_a_long_random_order_path():
+    order = np.random.default_rng(0).permutation(5000)
+    g = Graph.from_edges(5000, np.column_stack([order[:-1], order[1:]]))
+    # one convergence test per round
+    with mock.patch.object(np, "array_equal", wraps=np.array_equal) as rounds:
+        count, labels = _component_labels(g)
+    assert count == 1 and not labels.any()
+    # hooking each parent keeps this to a few rounds; pulling only the
+    # smallest neighbouring label took thousands
+    assert rounds.call_count <= 20
+
+
+def _reversed_labels(g):
+    """``_component_labels`` with its components numbered backwards."""
+    k, labels = _component_labels(g)
+    return k, k - 1 - labels
 
 
 @given(st.one_of(graphs(), equal_size_components()))
 @settings(max_examples=100, deadline=None)
-def test_components_do_not_depend_on_csgraph_label_order(g):
+def test_lcc_and_path_length_do_not_depend_on_label_order(g):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            scipy.sparse.csgraph, "connected_components",
-            _reversed_labels(scipy.sparse.csgraph.connected_components),
-        )
-        comps = connected_components(g)
+        for module in ("eigm.graphs", "eigm.stats"):
+            mp.setattr(f"{module}._component_labels", _reversed_labels)
         lcc, id_map = largest_connected_component(g)
         cpl = char_path_length(lcc)
-        if len(comps) > 1:
+        if oracles.component_labels(g)[0] > 1:
             with pytest.raises(DisconnectedGraphError):
                 char_path_length(g)
-    assert comps == oracles.connected_components(g)
     lcc_ref, id_map_ref = oracles.largest_connected_component(g)
     _assert_same_graph(lcc, lcc_ref)
     assert id_map == id_map_ref
