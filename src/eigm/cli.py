@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .modelzoo import KNOB_KEYS
 from .oddsproduct import fit_odds_product
-from .probmatrix import _check_dense_cap, load_probmatrix, sample, save_probmatrix
+from .probmatrix import load_probmatrix, sample, save_probmatrix
 from .rng import derive_seed
 from .stats import STAT_COLUMNS, compare, triangle_counts
 from .svgplot import render_sweep_svg
@@ -52,12 +52,21 @@ def _load_preprocessed(path):
     return lcc, tuple(ids[i] for i in kept)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _in_range(convert, accepts, expected: str):
+    """argparse type of a number read by ``convert`` (int or float) that is
+    refused as a usage error unless ``accepts`` holds for it."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_positive_int = _in_range(int, lambda v: v >= 1, "at least 1")
 
 
 def _csv(header, rows) -> str:
@@ -151,7 +160,11 @@ def cmd_sweep(args) -> int:
         knob_flag = KNOB_KEYS[args.model]
         if getattr(args, knob_flag) is None:
             args.usage_error(f"--model {args.model} needs --{knob_flag}")
-        config = ExperimentConfig(grid_specs(args.model, getattr(args, knob_flag)))
+        try:
+            specs = grid_specs(args.model, getattr(args, knob_flag))
+        except ValueError as exc:  # a number the model cannot use fails its row later
+            args.usage_error(f"argument --{knob_flag}: {exc}")
+        config = ExperimentConfig(specs)
     elif args.config:
         config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     else:
@@ -192,16 +205,18 @@ def cmd_verify(args) -> int:
             setattr(args, flag, default)
         elif args.theorem != theorem:
             args.usage_error(f"argument --{flag}: applies only with --theorem {theorem}")
+    # cc takes its mean and standard error over the trials at n itself; the
+    # other theorems draw each trial's size from [n_min, n]
+    n_min = 4 if args.theorem == "kcycle" else 2
+    for flag, low in (("n", n_min), ("trials", 3 if args.theorem == "cc" else 1)):
+        if getattr(args, flag) < low:
+            args.usage_error(f"argument --{flag}: must be at least {low} "
+                             f"with --theorem {args.theorem}, got {getattr(args, flag)}")
     if args.theorem == "cc":
         reports = [
             check_cc_tightness(args.n, args.gamma, samples=args.trials, seed=args.seed)
         ]
     else:
-        # trial sizes are drawn from [n_min, n]
-        n_min = 2 if args.theorem == "tri" else 4
-        if args.n < n_min:
-            args.usage_error(f"argument --n: must be at least {n_min} "
-                             f"with --theorem {args.theorem}, got {args.n}")
         reports = []
         for t in range(args.trials):
             n = n_min + derive_seed(args.seed, "verify-n", t) % (args.n - n_min + 1)
@@ -220,10 +235,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cell_verify(args) -> int:
-    # refuse before drawing, in the order the generator and embedding would
-    _check_dense_cap(args.n)
-    if args.n > EMBED_NODE_CAP:
-        raise ValueError(f"embedding capped at n <= {EMBED_NODE_CAP}")
+    if args.max_degree == 1 and args.n % 2:
+        args.usage_error(f"argument --max-degree: 1 needs an even --n "
+                         f"(a perfect matching), got --n {args.n}")
     table = []
     for t in range(args.trials):
         g = random_bounded_degree_graph(
@@ -297,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the subgraph-density bounds")
     p.add_argument("--theorem", required=True, choices=("tri", "kcycle", "cc"))
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--gamma", type=float, help="cc only (default 0.1)")
+    p.add_argument("--gamma", type=_in_range(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                   help="cc only (default 0.1)")
     p.add_argument("--k", type=int, choices=range(3, 7), help="kcycle only (default 4)")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -305,13 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify, usage_error=p.error)
 
     p = sub.add_parser("cell-verify", help="check the low-rank softmax embedding")
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--scale", type=float, default=1e4)
+    p.add_argument("--n", default=12, type=_in_range(
+        int, lambda v: 2 <= v <= EMBED_NODE_CAP, f"from 2 to {EMBED_NODE_CAP}"))
+    p.add_argument("--max-degree", type=_positive_int, default=3)
+    p.add_argument("--scale", type=_in_range(float, lambda v: 2.0 < v < np.inf,
+                                             "finite and above 2"), default=1e4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_cell_verify)
+    p.set_defaults(func=cmd_cell_verify, usage_error=p.error)
 
     return parser
 

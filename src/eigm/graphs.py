@@ -100,12 +100,11 @@ class Graph:
         e = self.edge_array()
         return e[:, 0] * np.int64(self.n) + e[:, 1]
 
-    def to_csr(self, dtype=np.int64) -> "scipy.sparse.csr_matrix":
-        """Adjacency as a ``scipy.sparse`` CSR matrix with unit entries."""
+    def to_csr(self) -> "scipy.sparse.csr_matrix":
+        """Adjacency as a float64 ``scipy.sparse`` CSR matrix with unit entries."""
         import scipy.sparse
-        data = np.ones(len(self.indices), dtype=dtype)
         return scipy.sparse.csr_matrix(
-            (data, self.indices, self.indptr), shape=(self.n, self.n)
+            (np.ones(len(self.indices)), self.indices, self.indptr), shape=(self.n, self.n)
         )
 
     def _rows(self) -> np.ndarray:

@@ -164,7 +164,7 @@ def tsvd_model(a: Graph, k: int) -> ProbMatrix:
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     rep, cls = np.unique(first[inverse], return_inverse=True)  # classes by first node
     w = np.sqrt(np.bincount(cls))  # t_c ** 0.5
-    m = a.to_csr(np.float64)[rep][:, rep]
+    m = a.to_csr()[rep][:, rep]
     m.data *= np.repeat(w, np.diff(m.indptr)) * w[m.indices]
     if 8 * k <= rep.size:
         lam, v = eigsh(m, k=k, which="LM", v0=np.ones(rep.size))

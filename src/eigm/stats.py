@@ -9,8 +9,9 @@ no wedges, too few tail points) are reported as NaN markers, never as 0.
 
 The graph kernels are exact integer algebra on bit-packed rows of the CSR
 adjacency: triangles from popcounts of ``bits[u] & bits[v]`` over the edges,
-path lengths from a BFS whose levels OR the frontier bits of each node's
-neighbors, and connectivity from ``graphs._component_labels``.
+path lengths from a BFS whose every level gathers the frontier bits of all
+neighbors in one call and ORs them per node in one ``reduceat``, and
+connectivity from ``graphs._component_labels``.
 """
 
 from __future__ import annotations
@@ -57,20 +58,8 @@ class StatsRecord:
 STAT_COLUMNS = tuple(f.name for f in fields(StatsRecord))
 
 
-# cap on the gathered BFS frontier words of one row block (16 MiB)
-_BLOCK_ENTRIES = 1 << 21
-
 # words of neighbor bits gathered per operand of one block of edges
 _EDGE_BLOCK_WORDS = 1 << 16  # 2**14, 2**18 and 2**21 measured slower
-
-
-def _row_blocks(weights: np.ndarray) -> list[tuple[int, int]]:
-    """Consecutive row ranges covering all rows, each of total ``weights``
-    at most about ``_BLOCK_ENTRIES`` (a single heavy row forms its own)."""
-    cum = np.concatenate([[0], np.cumsum(weights)])
-    cuts = np.searchsorted(cum, np.arange(0, cum[-1], _BLOCK_ENTRIES))
-    bounds = np.unique(np.concatenate([[0], cuts, [len(weights)]]))
-    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
 def triangle_counts(g: Graph) -> tuple[np.ndarray, int]:
@@ -202,17 +191,23 @@ def powerlaw_alpha(d: np.ndarray) -> float:
 # BFS sources run together in one bit-matrix block
 _SOURCES = 512
 
+# cap on the frontier words one BFS level gathers (16 MiB), unless a block is 1 word
+_GATHER_WORDS = 1 << 21
+
 
 def char_path_length(g: Graph) -> float:
     """Mean shortest-path length over all unordered node pairs.
 
-    Exact all-sources BFS, run for a block of ``_SOURCES`` sources (rounded
-    up to a multiple of 64) at a time.  The block's frontier is a bit matrix,
-    one row of uint64 words per node and one bit per source; each BFS level
-    is its boolean product with the CSR adjacency, an OR over every row's
-    neighbors.  Distances are summed as integers.  Raises on disconnected
-    input: take the largest connected component first.  Returns NaN for
-    the single-node graph, which has no pairs.
+    Exact all-sources BFS, one block of sources at a time.  The block's
+    frontier is a bit matrix, one row of uint64 words per node and one bit
+    per source; each BFS level gathers the frontier rows of all 2m neighbor
+    entries in one call and ORs them per row in one ``reduceat``.  A block
+    takes ``_SOURCES`` sources (rounded up to a multiple of 64), fewer if
+    that gather would pass ``_GATHER_WORDS``, but at least 64: a gather
+    holds at most max(16 MiB, 8·2m bytes), so above 16 MiB only past about
+    1M edges, and then as much as ``g.indices``.  Distances are summed as
+    integers.  Raises on disconnected input: take the largest connected
+    component first.  Returns NaN for the single-node graph (no pairs).
     """
     if g.n == 1:
         return float("nan")
@@ -220,25 +215,19 @@ def char_path_length(g: Graph) -> float:
         raise DisconnectedGraphError(
             "graph is disconnected; apply largest_connected_component first"
         )
-    step = 64 * -(-min(_SOURCES, g.n) // 64)
+    words = max(1, min(-(-min(_SOURCES, g.n) // 64), _GATHER_WORDS // len(g.indices)))
     total = 0
-    for start in range(0, g.n, step):
-        k = np.arange(min(step, g.n - start))
-        words = -(-k.size // 64)  # the last block is as wide as its sources
-        blocks = _row_blocks(words * degrees(g))  # words gathered per row
-        seen = np.zeros((g.n, words), dtype=np.uint64)
+    for start in range(0, g.n, 64 * words):
+        k = np.arange(min(64 * words, g.n - start))
+        seen = np.zeros((g.n, -(-k.size // 64)), dtype=np.uint64)  # as wide as its sources
         seen.view(np.uint8)[start + k, k // 8] = 1 << (k % 8)  # source k's bit
         frontier = seen
         level = 0
         while True:
             level += 1
-            reached = np.empty_like(frontier)
-            for lo, hi in blocks:  # every node has a neighbor (connected, n > 1)
-                first, last = g.indptr[lo], g.indptr[hi]
-                neighbor_bits = np.take(frontier, g.indices[first:last], axis=0)
-                reached[lo:hi] = np.bitwise_or.reduceat(
-                    neighbor_bits, g.indptr[lo:hi] - first, axis=0
-                )
+            neighbor_bits = np.take(frontier, g.indices, axis=0)
+            # every row has a neighbor (connected, n > 1), so no segment is empty
+            reached = np.bitwise_or.reduceat(neighbor_bits, g.indptr[:-1], axis=0)
             reached &= ~seen
             count = int(np.bitwise_count(reached).sum(dtype=np.int64))
             if not count:

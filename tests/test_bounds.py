@@ -155,8 +155,13 @@ def test_cc_tightness_refuses_gamma_outside_unit_interval(gamma):
 def test_cc_tightness_refuses_fewer_than_two_nodes(n, capsys):
     with pytest.raises(ValueError, match=f"^need n >= 2 nodes, got n={n}$"):
         check_cc_tightness(n, 0.5, samples=3, seed=0)
-    assert main(["verify", "--theorem", "cc", "--n", str(n)]) == 1
-    assert capsys.readouterr() == ("", f"error: need n >= 2 nodes, got n={n}\n")
+    # the CLI refuses the same n as a usage error, before the library call
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "cc", "--n", str(n)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", f"eigm verify: error: argument --n: must be at least 2 with --theorem cc, got {n}\n"
+    )
 
 
 def test_cc_tightness_refuses_n_above_the_cap_before_allocating():

@@ -212,7 +212,7 @@ def test_verify_flag_that_would_be_ignored_is_a_usage_error(argv, message, capsy
 
 
 @pytest.mark.parametrize("theorem, n, n_min", [
-    ("tri", "-5", 2), ("tri", "1", 2), ("kcycle", "0", 4), ("kcycle", "3", 4),
+    ("tri", "-5", 2), ("tri", "1", 2), ("kcycle", "0", 4), ("kcycle", "3", 4), ("cc", "1", 2),
 ])
 def test_verify_n_below_the_theorem_minimum_is_a_usage_error(theorem, n, n_min, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -349,8 +349,46 @@ def test_cell_verify_refuses_n_above_the_cap_before_drawing(monkeypatch, capsys)
         raise AssertionError("graph drawn before the node cap was checked")
 
     monkeypatch.setattr(eigm.cli, "random_bounded_degree_graph", fail)
-    assert main(["cell-verify", "--n", "25"]) == 1
-    assert capsys.readouterr().err == "error: embedding capped at n <= 20\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["cell-verify", "--n", "25"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "eigm cell-verify: error: argument --n: must be from 2 to 20, got 25\n"
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cell-verify", "--n", "1"], "argument --n: must be from 2 to 20, got 1"),
+    (["cell-verify", "--n", "30"], "argument --n: must be from 2 to 20, got 30"),
+    (["cell-verify", "--n", "100000000"], "argument --n: must be from 2 to 20, got 100000000"),
+    (["cell-verify", "--max-degree", "0"], "argument --max-degree: must be at least 1, got 0"),
+    (["cell-verify", "--n", "3", "--max-degree", "1"],
+     "argument --max-degree: 1 needs an even --n (a perfect matching), got --n 3"),
+    (["cell-verify", "--scale", "nan"], "argument --scale: must be finite and above 2, got nan"),
+    (["cell-verify", "--scale", "2"], "argument --scale: must be finite and above 2, got 2.0"),
+    (["verify", "--theorem", "cc", "--trials", "2"],
+     "argument --trials: must be at least 3 with --theorem cc, got 2"),
+    (["verify", "--theorem", "cc", "--gamma", "nan"],
+     "argument --gamma: must be in (0, 1], got nan"),
+    (["verify", "--theorem", "cc", "--gamma", "1.5"],
+     "argument --gamma: must be in (0, 1], got 1.5"),
+    (["verify", "--theorem", "cc", "--gamma", "0"],
+     "argument --gamma: must be in (0, 1], got 0.0"),
+    (["sweep", "--model", "linear", "--omega", "abc"],
+     "argument --omega: could not convert string to float: 'abc'"),
+    (["sweep", "--model", "tsvd", "--rank", "4,x"],
+     "argument --rank: could not convert string to float: 'x'"),
+])
+def test_malformed_argument_is_a_usage_error(argv, message, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("random_bounded_degree_graph", "check_cc_tightness", "run_sweep"):
+        monkeypatch.setattr(eigm.cli, name, fail)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"eigm {argv[0]}: error: {message}\n"
 
 
 def test_cell_verify_overflow_is_one_line_error(capsys):
@@ -465,10 +503,14 @@ def test_sweep_empty_knob_flag_fails_like_empty_config_grid(tmp_path, capsys):
     config = tmp_path / "s.cfg"
     config.write_text("[linear]\nomega =\n", encoding="utf-8")
     assert main(["sweep", "--config", str(config), "--input", str(edges)]) == 1
-    from_config = capsys.readouterr().err
-    assert main(["sweep", "--model", "linear", "--omega", "", "--input", str(edges)]) == 1
-    from_flag = capsys.readouterr().err
-    assert from_flag == from_config == "error: empty knob grid for linear\n"
+    assert capsys.readouterr().err == "error: empty knob grid for linear\n"
+    # the same grid given as a flag is a malformed argument, not a failed run
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--model", "linear", "--omega", "", "--input", str(edges)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "eigm sweep: error: argument --omega: empty knob grid for linear\n"
+    )
 
 
 def test_sweep_failure_at_any_stage_is_a_marked_row(tmp_path, capsys):

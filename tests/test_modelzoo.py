@@ -176,7 +176,7 @@ def test_tsvd_path3_rank1(path3):
 def test_tsvd_without_open_twins_equals_the_unreduced_solve(k):
     g = clustered_graph(86, 7, 5e-4, seed=0)  # n = 602, no two equal neighbor sets
     assert len({tuple(g.neighbors(i)) for i in range(g.n)}) == g.n
-    a = g.to_csr(np.float64)
+    a = g.to_csr()
     if 8 * k <= g.n:
         lam, v = eigsh(a, k=k, which="LM", v0=np.ones(g.n))
     else:
@@ -195,7 +195,7 @@ def test_tsvd_is_exactly_symmetric_with_negative_eigenvalues_kept(k):
     rng = np.random.default_rng(0)
     u, v = np.nonzero(rng.random((100, 100)) < 0.05)
     g = Graph.from_edges(200, zip(u.tolist(), (v + 100).tolist()))  # bipartite
-    lam = np.linalg.eigvalsh(g.to_csr(np.float64).toarray())  # symmetric about 0
+    lam = np.linalg.eigvalsh(g.to_csr().toarray())  # symmetric about 0
     assert lam[np.argsort(-np.abs(lam), kind="stable")[:k]].min() < 0.0
     p = tsvd_model(g, k).mat
     assert np.array_equal(p, p.T)

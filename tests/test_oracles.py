@@ -183,7 +183,21 @@ def test_lcc_tie_breaks_toward_smallest_id(g):
     assert id_map[0] == 0
 
 
-@given(graphs())
+@st.composite
+def hub_graphs(draw):
+    """One to three hubs, each joined to most of up to 150 nodes, over a
+    sparse random rest: a few rows hold most of the neighbor entries."""
+    n = draw(st.integers(2, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hubs = rng.choice(n, size=draw(st.integers(1, min(3, n))), replace=False)
+    spokes = [(h, j) for h in hubs for j in np.flatnonzero(rng.random(n) < 0.8)]
+    rest = rng.integers(0, n, size=(n, 2))
+    return Graph.from_edges(n, [*spokes, *rest[rng.random(n) < 2.0 / n]])
+
+
+@given(st.one_of(graphs(), hub_graphs()))
+@example(Graph.from_edges(700, [(0, j) for j in range(1, 700)]))  # a star
+@example(Graph.from_edges(700, [(j, j + 1) for j in range(699)]))  # a 699-level BFS
 @settings(max_examples=100, deadline=None)
 def test_char_path_length_matches_dijkstra(g):
     lcc, _ = largest_connected_component(g)
@@ -374,7 +388,11 @@ def test_row_blocked_kernels_match_oracles(monkeypatch):
     g, _ = largest_connected_component(clustered_graph(20, 6, 0.01, seed=1))
     t_ref, total_ref = oracles.triangle_counts(g)
     cpl_ref = oracles.char_path_length(g)
-    monkeypatch.setattr(stats, "_BLOCK_ENTRIES", 40)  # many small row blocks
+    # a gather budget below 2m words makes every source block one word wide,
+    # and n = 120 puts the sources in two of them
+    assert len(g.indices) > 40 and g.n == 120
+    monkeypatch.setattr(stats, "_GATHER_WORDS", 40)
+    monkeypatch.setattr(stats, "_EDGE_BLOCK_WORDS", 5)  # edge blocks of 2 edges
     t, total = triangle_counts(g)
     assert np.array_equal(t, t_ref) and total == total_ref
     assert char_path_length(g) == cpl_ref

@@ -207,7 +207,7 @@ def test_to_dense_examples(triangle):
 @example(Graph.from_edges(5, [(1, 3)]))  # three isolated nodes
 @settings(max_examples=100, deadline=None)
 def test_to_dense_equals_the_csr_adjacency(g):
-    assert np.array_equal(to_dense(g).mat, g.to_csr(np.float64).toarray())
+    assert np.array_equal(to_dense(g).mat, g.to_csr().toarray())
 
 
 def test_sample_determinism_and_limits(triangle):

@@ -96,7 +96,7 @@ def test_generators_refuse_huge_n_before_allocating(build):
     [
         ["verify", "--theorem", "cc", "--n", "300000"],
         ["verify", "--theorem", "tri", "--n", "100000000", "--trials", "1"],
-        ["cell-verify", "--n", "100000000"],
+        ["verify", "--theorem", "kcycle", "--n", "100000000", "--trials", "1"],
         ["verify", "--theorem", "cc", "--n", "10001"],
     ],
 )
