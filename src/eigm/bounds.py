@@ -87,12 +87,10 @@ def check_triangle_bound(p: ProbMatrix) -> BoundReport:
 def check_kcycle_bound(p: ProbMatrix, k: int) -> BoundReport:
     """Expected k-cycles against (2^{k/2} / 2k) * (Ov * V)^{k/2}.
 
-    Small instances (n <= 14, k <= 6) use the combinatorial count for the
-    left side; larger ones fall back to the trace value, which dominates
-    the true expectation, so the comparison stays valid.
+    Small instances (n <= 14) use the combinatorial count for the left side;
+    larger ones fall back to the trace value, which dominates the true
+    expectation, so the comparison stays valid.  Both counts enforce k in [3, 6].
     """
-    if not 3 <= k <= 6:
-        raise ValueError("k must be in [3, 6]")
     if p.n <= 14:
         lhs, mode = expected_kcycles_exact(p, k), "brute-force"
     else:

@@ -93,16 +93,18 @@ def _write_or_print(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+def _output(args, suffix: str) -> Path:
+    """``<output-dir>/<stem of --input><suffix>``, making the directory."""
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / f"{Path(args.input).stem}{suffix}"
+
+
 def cmd_ingest(args) -> int:
     g, id_map = _load_preprocessed(args.input)
     _, total = triangle_counts(g)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).stem
-    (out_dir / f"{stem}_normalized.edges").write_text(
-        serialize_edge_list(g), encoding="utf-8"
-    )
-    (out_dir / f"{stem}_idmap.csv").write_text(
+    _output(args, "_normalized.edges").write_text(serialize_edge_list(g), encoding="utf-8")
+    _output(args, "_idmap.csv").write_text(
         _csv(("dense_index", "original_id"), enumerate(id_map)), encoding="utf-8"
     )
     def plural(k: int, word: str) -> str:
@@ -117,12 +119,9 @@ def cmd_ingest(args) -> int:
 def cmd_fit(args) -> int:
     g, _ = load_edge_list(args.input)
     _, p, report = fit_odds_product(degrees(g))
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).stem
-    save_probmatrix(p, out_dir / f"{stem}.pmat")
+    save_probmatrix(p, _output(args, ".pmat"))
     trace = _csv(("iteration", "residual"), enumerate(report.residual_history))
-    (out_dir / f"{stem}_fit.csv").write_text(trace, encoding="utf-8")
+    _output(args, "_fit.csv").write_text(trace, encoding="utf-8")
     print(
         f"converged in {report.iterations} iterations, "
         f"max degree error {report.final_max_abs_error:.3e}"
@@ -132,12 +131,9 @@ def cmd_fit(args) -> int:
 
 def cmd_sample(args) -> int:
     p = load_probmatrix(args.input)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).stem
     for t in range(args.samples):
         g = sample(p, derive_seed(args.seed, "cli-sample", t))
-        path = out_dir / f"{stem}_sample{t}.edges"
+        path = _output(args, f"_sample{t}.edges")
         path.write_text(serialize_edge_list(g), encoding="utf-8")
         print(f"wrote {path} ({g.m} edges)")
     return 0

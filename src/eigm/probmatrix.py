@@ -213,10 +213,10 @@ def expected_kcycles_exact(p: ProbMatrix, k: int) -> float:
     instances by design.
     """
     n = p.n
-    if n > 14 or k > 6:
-        raise ValueError("exact k-cycle oracle limited to n <= 14, k <= 6")
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    if not 3 <= k <= 6:
+        raise ValueError("k must be in [3, 6]")
+    if n > 14:
+        raise ValueError("exact k-cycle count limited to n <= 14")
     nodes = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k).T
     sub = p.mat[nodes[:, None], nodes[None, :]]  # sub[a, b, s]: P between nodes a, b of set s
     orders = np.array([(0, *q) for q in itertools.permutations(range(1, k)) if q[0] < q[-1]])

@@ -187,6 +187,7 @@ def validate(g: Graph) -> None:
     assert g.n > 0
     assert g.indptr.shape == (g.n + 1,)
     assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices)
+    assert all(g.indptr[i] <= g.indptr[i + 1] for i in range(g.n)), "indptr decreases"
     assert 2 * g.m == len(g.indices)
     for i in range(g.n):
         row = g.neighbors(i)

@@ -110,6 +110,14 @@ def test_kcycle_bound_trace_mode_for_larger_n():
         check_kcycle_bound(p, 7)
 
 
+@pytest.mark.parametrize("n", [6, 20])  # the brute-force and the trace path
+@pytest.mark.parametrize("k", [2, 7])
+def test_kcycle_bound_refuses_k_outside_3_to_6(n, k):
+    # the k range is checked by the two counts, before the n <= 14 limit
+    with pytest.raises(ValueError, match=r"^k must be in \[3, 6\]$"):
+        check_kcycle_bound(er_construction(n, 0.5), k)
+
+
 @given(prob_matrices(max_n=10))
 @settings(max_examples=30, deadline=None)
 def test_kcycle_bound_exact_mode_property(p):

@@ -118,6 +118,22 @@ def test_sample_deterministic_bytes(tmp_path, capsys):
         assert b1 == b2
 
 
+def test_file_commands_make_their_output_dir_and_name_files_by_input_stem(tmp_path, capsys):
+    edges = tmp_path / "c5.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
+    runs = [
+        (["ingest", "--input", str(edges)], {"c5_normalized.edges", "c5_idmap.csv"}),
+        (["fit", "--input", str(edges)], {"c5.pmat", "c5_fit.csv"}),
+        (["sample", "--input", str(tmp_path / "fit" / "nested" / "c5.pmat"), "--samples", "2"],
+         {"c5_sample0.edges", "c5_sample1.edges"}),
+    ]
+    for argv, names in runs:
+        out = tmp_path / argv[0] / "nested"
+        assert not out.parent.exists()
+        assert main([*argv, "--output-dir", str(out)]) == 0
+        assert {f.name for f in out.iterdir()} == names
+
+
 def test_sample_oversized_header_is_one_line_error(tmp_path, capsys):
     pmat = tmp_path / "huge.pmat"
     pmat.write_text("n=100000000\n0 1 0.5\n", encoding="utf-8")

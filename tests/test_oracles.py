@@ -337,11 +337,17 @@ def test_fit_power_law_matches_the_per_cutoff_oracle(d):
 
 @st.composite
 def corrupted_graphs(draw):
-    """A valid graph whose CSR arrays had one neighbor id overwritten."""
-    g = draw(graphs(max_n=8).filter(lambda g: g.m > 0))
-    indices = g.indices.copy()
-    indices[draw(st.integers(0, len(indices) - 1))] = draw(st.integers(-1, g.n))
-    return Graph(n=g.n, indptr=g.indptr, indices=indices, m=g.m)
+    """A valid graph with one neighbor id, one indptr entry, m or n overwritten."""
+    g = draw(graphs(max_n=8))
+    fields = {"n": g.n, "indptr": g.indptr.copy(), "indices": g.indices.copy(), "m": g.m}
+    key = draw(st.sampled_from(sorted(fields)[not g.m:]))  # "indices" needs an edge
+    if key == "indices":
+        fields[key][draw(st.integers(0, len(g.indices) - 1))] = draw(st.integers(-1, g.n))
+    elif key == "indptr":
+        fields[key][draw(st.integers(0, g.n))] = draw(st.integers(-1, len(g.indices) + 1))
+    else:
+        fields[key] = draw(st.integers(-1, fields[key] + 1))
+    return Graph(**fields)
 
 
 def _accepts(check, g) -> bool:
@@ -353,8 +359,10 @@ def _accepts(check, g) -> bool:
 
 
 @given(st.one_of(graphs(), corrupted_graphs()))
-@settings(max_examples=150, deadline=None)
+@example(Graph(n=2, indptr=np.array([0, 1, 0]), indices=np.array([], dtype=np.int64), m=0))
+@settings(max_examples=300, deadline=None)
 def test_validate_matches_oracle(g):
+    # any exception but AssertionError escapes _accepts and fails the test
     assert _accepts(Graph.validate, g) == _accepts(oracles.validate, g)
 
 
@@ -369,6 +377,11 @@ def test_validate_rejects_each_broken_invariant():
     cases = [Graph(n=3, indptr=path.indptr, indices=i, m=2) for i in broken]
     # a mirrored duplicate pair is symmetric but not simple
     cases.append(Graph(n=2, indptr=np.array([0, 2, 4]), indices=np.array([1, 1, 0, 0]), m=2))
+    # indptr decreases, with its ends still matching the empty indices
+    cases.append(Graph(n=2, indptr=np.array([0, 1, 0]), indices=np.array([], dtype=np.int64), m=0))
+    cases.append(Graph(n=3, indptr=path.indptr, indices=path.indices, m=3))  # m != 2
+    # n < 0 with indptr of n + 1 = 0 entries: no indptr[0] to read
+    cases.append(Graph(n=-1, indptr=np.array([], dtype=np.int64), indices=np.array([]), m=0))
     for g in cases:
         assert not _accepts(Graph.validate, g)
         assert not _accepts(oracles.validate, g)

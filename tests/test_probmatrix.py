@@ -356,7 +356,7 @@ def test_kcycles_exact_examples():
     assert expected_kcycles_exact(er, 4) == pytest.approx(0.0625 * 45)
     with pytest.raises(ValueError):
         expected_kcycles_exact(er_construction(15, 0.5), 4)
-    with pytest.raises(ValueError, match="^k must be >= 3$"):
+    with pytest.raises(ValueError, match=r"^k must be in \[3, 6\]$"):
         expected_kcycles_exact(er, 2)
 
 
