@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, degrees
 from .modelzoo import KNOB_KEYS, ModelSpec, build_model
 from .probmatrix import empirical_overlap, overlap, sample
 from .rng import derive_seed
-from .stats import STAT_COLUMNS, StatsRecord, compare
+from .stats import STAT_COLUMNS, StatsRecord, compare, triangle_counts
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,11 @@ def _nan_row(spec: ModelSpec, status: str) -> SweepRow:
 
 
 def evaluate_point(
-    reference: Graph, spec: ModelSpec, samples: int, seed: int
+    reference: Graph, spec: ModelSpec, samples: int, seed: int, reference_counts=None
 ) -> SweepRow:
     """Build, sample, and score one grid point; a failure becomes a row
-    whose status names the stage, ``error[build|overlap|sample|compare]: ...``."""
+    whose status names the stage, ``error[build|overlap|sample|compare]: ...``.
+    ``reference_counts`` goes to each sample's :func:`compare`."""
     stage = "build"
     try:
         p = build_model(reference, spec)
@@ -156,7 +157,7 @@ def evaluate_point(
         stage = "overlap"
         ov_empirical = empirical_overlap(p, drawn)
         stage = "compare"
-        records = [compare(reference, g) for g in drawn]
+        records = [compare(reference, g, reference_counts) for g in drawn]
     except Exception as exc:  # a failure at any stage poisons one row, not the sweep
         return _nan_row(spec, f"error[{stage}]: {exc}")
     table = np.array([r.as_tuple() for r in records], dtype=np.float64)
@@ -180,15 +181,18 @@ def run_sweep(reference: Graph, specs, samples: int, seed: int) -> list[SweepRow
 
     The points run on a thread pool with one thread per CPU this process
     may run on (its affinity mask, where the OS has one); the rows do not
-    depend on the pool size.
+    depend on the pool size.  The reference's degrees and triangles are
+    counted once, before any point, so a reference above the dense cap
+    raises ``CapacityError`` here.
     """
+    counts = degrees(reference), triangle_counts(reference)[0]
     if hasattr(os, "sched_getaffinity"):
         threads = len(os.sched_getaffinity(0))
     else:
         threads = os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(
-            pool.map(lambda s: evaluate_point(reference, s, samples, seed), specs)
+            pool.map(lambda s: evaluate_point(reference, s, samples, seed, counts), specs)
         )
     rows.sort(key=lambda r: (r.model, r.knob))
     return rows

@@ -252,8 +252,7 @@ def _reversed_labels(g):
 @settings(max_examples=100, deadline=None)
 def test_lcc_and_path_length_do_not_depend_on_label_order(g):
     with pytest.MonkeyPatch.context() as mp:
-        for module in ("eigm.graphs", "eigm.stats"):
-            mp.setattr(f"{module}._component_labels", _reversed_labels)
+        mp.setattr("eigm.graphs._component_labels", _reversed_labels)
         lcc, id_map = largest_connected_component(g)
         cpl = char_path_length(lcc)
         if oracles.component_labels(g)[0] > 1:
@@ -389,11 +388,12 @@ def test_validate_rejects_each_broken_invariant():
 
 @pytest.mark.parametrize("chunk", [1, 64, 100, 512])
 def test_char_path_length_source_blocks(chunk, monkeypatch):
-    # n > 64 puts the sources in several bit-word blocks; at n = 700 the last
-    # block is narrower than the others (188 sources in 3 words at chunk 512)
-    monkeypatch.setattr(stats, "_SOURCES", chunk)
+    # a frontier budget of ceil(chunk / 64) words per node puts n > 64 sources
+    # in several blocks; at n = 700 the last block is narrower than the others
+    # (188 sources in 3 words at chunk 512), and at n = 150 too (22 in 1 word)
     graphs = [random_connected_graph(150, 0.03, seed=seed) for seed in range(3)]
     for g in graphs + [clustered_graph(100, 7, 5e-4, seed=0)]:  # connected, n = 700
+        monkeypatch.setattr(stats, "_FRONTIER_BYTES", 8 * g.n * -(-chunk // 64))
         assert char_path_length(g) == oracles.char_path_length(g)
 
 
@@ -401,14 +401,32 @@ def test_row_blocked_kernels_match_oracles(monkeypatch):
     g, _ = largest_connected_component(clustered_graph(20, 6, 0.01, seed=1))
     t_ref, total_ref = oracles.triangle_counts(g)
     cpl_ref = oracles.char_path_length(g)
-    # a gather budget below 2m words makes every source block one word wide,
-    # and n = 120 puts the sources in two of them
-    assert len(g.indices) > 40 and g.n == 120
-    monkeypatch.setattr(stats, "_GATHER_WORDS", 40)
+    assert g.n == 120
     monkeypatch.setattr(stats, "_EDGE_BLOCK_WORDS", 5)  # edge blocks of 2 edges
     t, total = triangle_counts(g)
     assert np.array_equal(t, t_ref) and total == total_ref
-    assert char_path_length(g) == cpl_ref
+    # 1 row: a slot per neighbour of the highest degree and no reduceat;
+    # 64 rows: slots and a reduceat over the heavier rows; n + 1 rows: one
+    # slot and a reduceat over every row of degree above 1
+    d = np.sort(degrees(g))[::-1]
+    assert d[0] > d[63] > 1
+    for rows in (1, 64, g.n + 1):
+        monkeypatch.setattr(stats, "_SLOT_ROWS", rows)
+        assert char_path_length(g) == cpl_ref
+
+
+def test_char_path_length_peak_memory_on_a_dense_lcc():
+    # every slot gathers at most n rows and the reduceat at most 63 n rows of a
+    # frontier sized to 2**17 bytes; gathering every neighbour at once peaked
+    # at 34.4 MiB here
+    g, _ = largest_connected_component(sample_uniform(3000, 0.1, seed=0))
+    tracemalloc.start()
+    try:
+        char_path_length(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 @st.composite

@@ -149,6 +149,33 @@ def test_char_path_length_disconnected_raises():
         char_path_length(g)
 
 
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("n, edges", [
+    (6, TRIANGLE + [(3, 4), (4, 5), (3, 5)]),  # two triangles: every degree is 2
+    (5, TRIANGLE + [(3, 4)]),  # a triangle and an edge
+    (4, TRIANGLE),  # node 3 isolated
+])
+def test_char_path_length_disconnected_without_a_component_pass(n, edges, monkeypatch):
+    # the BFS's own count of reached pairs finds the pieces
+    def no_components(g):
+        raise AssertionError("component pass")
+
+    monkeypatch.setattr("eigm.graphs._component_labels", no_components)
+    monkeypatch.setattr("eigm.stats._component_labels", no_components, raising=False)
+    with pytest.raises(DisconnectedGraphError):
+        char_path_length(Graph.from_edges(n, edges))
+    assert char_path_length(Graph.from_edges(3, TRIANGLE)) == 1.0
+
+
+def test_compare_takes_the_reference_counts_it_would_take_itself():
+    ref = random_connected_graph(40, 0.15, seed=3)
+    gen = random_connected_graph(40, 0.1, seed=4)
+    counts = degrees(ref), triangle_counts(ref)[0]
+    assert compare(ref, gen, counts) == compare(ref, gen)
+
+
 def test_char_path_length_single_node():
     g = Graph.from_edges(1, [])
     assert math.isnan(char_path_length(g))

@@ -159,6 +159,34 @@ def test_run_sweep_rows_sorted_and_deterministic(reference, monkeypatch, tmp_pat
     assert sweep_csv(rows1, tmp_path, monkeypatch) == sweep_csv(rows4, tmp_path, monkeypatch)
 
 
+def test_run_sweep_counts_the_reference_once(reference, monkeypatch):
+    import eigm.stats
+    import eigm.sweep
+
+    count, counted = eigm.stats.triangle_counts, []
+
+    def counting(g):
+        counted.append(g is reference)
+        return count(g)
+
+    for module in (eigm.stats, eigm.sweep):
+        monkeypatch.setattr(module, "triangle_counts", counting)
+    run_sweep(reference, [ModelSpec("linear", w) for w in (0.0, 1.0)], samples=3, seed=5)
+    # the reference once, then each of the 2 x 3 samples
+    assert counted.count(True) == 1 and len(counted) == 7
+
+
+def test_sweep_above_the_dense_cap_fails_before_any_point(tmp_path, capsys):
+    edges = tmp_path / "path.edges"
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(10000)), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["sweep", "--model", "linear", "--omega", "0.5", "--input", str(edges),
+               "--output-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: n=10001 exceeds dense-matrix cap 10000\n"
+    assert not out.exists()
+
+
 def test_sweep_memorization_limit(reference):
     row = evaluate_point(reference, ModelSpec("ccop", 1.0), samples=3, seed=2)
     ref = reference_record(reference)
