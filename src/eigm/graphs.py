@@ -14,6 +14,7 @@ index arrays, and only :meth:`Graph.to_csr` imports scipy, at first call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +148,6 @@ def parse_edge_list(text: str) -> tuple[Graph, tuple[int, ...]]:
     Dense indices are assigned in increasing order of original id; the
     returned id map holds the original id of each dense index.
     """
-    seen_ids: set[int] = set()
     raw_edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -166,12 +166,10 @@ def parse_edge_list(text: str) -> tuple[Graph, tuple[int, ...]]:
             ) from None
         if u < 0 or v < 0:
             raise EdgeListParseError(line_no, f"negative node id in ({u}, {v})")
-        seen_ids.add(u)
-        seen_ids.add(v)
         raw_edges.append((u, v))
-    if not seen_ids:
+    if not raw_edges:
         raise EdgeListParseError(None, "edge list is empty (no nodes)")
-    id_map = tuple(sorted(seen_ids))
+    id_map = tuple(sorted(set(itertools.chain.from_iterable(raw_edges))))
     index_of = {orig: i for i, orig in enumerate(id_map)}
     edges = ((index_of[u], index_of[v]) for u, v in raw_edges)
     return Graph.from_edges(len(id_map), edges), id_map

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import Graph, _neighbor_bits, degrees
 from .oddsproduct import fit_odds_product
-from .probmatrix import ProbMatrix, _check_dense_cap, convex_combine
+from .probmatrix import ProbMatrix, _check_dense_cap, _check_omega, convex_combine
 
 # Each model kind and the name of its knob, as a sweep config key and a CLI flag.
 KNOB_KEYS = {"linear": "omega", "ccop": "omega", "hdop": "h", "tsvd": "rank"}
@@ -48,8 +48,7 @@ def linear_model(a: Graph, omega: float) -> ProbMatrix:
     matches the graph volume exactly on a zero-diagonal matrix; the result
     is (1-omega) * base + omega * A, so volume(result) = m for every omega.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must be in [0, 1], got {omega}")
+    _check_omega(omega)
     n = a.n
     if n < 2:
         raise ValueError("linear model needs at least 2 nodes")
@@ -65,8 +64,9 @@ def ccop(a: Graph, omega: float) -> ProbMatrix:
     """Degree-matching odds-product fit blended with the adjacency.
 
     Expected degrees equal the input degrees for every omega, since both
-    endpoints of the combination have them.
+    endpoints of the combination have them.  omega is checked before the fit.
     """
+    _check_omega(omega)
     _, p, _ = fit_odds_product(degrees(a))
     return convex_combine(p, a, omega)
 

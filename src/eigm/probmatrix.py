@@ -42,6 +42,12 @@ def _check_dense_cap(n: int) -> None:
         raise CapacityError(f"n={n} exceeds dense-matrix cap {DEFAULT_DENSE_CAP}")
 
 
+def _check_omega(omega: float) -> None:
+    """Refuse a blend weight outside [0, 1] (NaN included)."""
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"omega must be in [0, 1], got {omega}")
+
+
 class ZeroVolumeError(ValueError):
     """Operation undefined for a matrix with zero expected edge count."""
 
@@ -231,8 +237,7 @@ def convex_combine(p: ProbMatrix, a: Graph, omega: float) -> ProbMatrix:
     positions of ``a`` so its adjacency A is never made dense; at omega = 1
     the result memorizes the graph.  Volume: (1-omega) * V(P) + omega * m.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must be in [0, 1], got {omega}")
+    _check_omega(omega)
     if p.n != a.n:
         raise ValueError("dimension mismatch")
     out = (1.0 - omega) * p.mat

@@ -113,8 +113,6 @@ def assortativity(g: Graph) -> float:
     are fewer than 2 edges or the endpoint degrees have zero variance
     (e.g. regular graphs).
     """
-    if g.m < 2:
-        return float("nan")
     d = degrees(g)
     return _pearson(d[g._rows()], d[g.indices])  # CSR holds both orientations
 

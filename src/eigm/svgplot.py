@@ -100,7 +100,7 @@ def render_sweep_svg(rows: list[SweepRow], reference: StatsRecord) -> str:
     for k, stat in enumerate(STAT_COLUMNS):
         rows_by_model = {m: [] for m in models}  # finite points of ok rows
         for r in rows:
-            x, y = r.overlap_expected, r.means.get(stat, float("nan"))
+            x, y = r.overlap_expected, r.means[stat]
             if r.status == "ok" and math.isfinite(x) and math.isfinite(y):
                 rows_by_model[r.model].append((x, y))
         ref_value = getattr(reference, stat)

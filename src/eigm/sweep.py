@@ -125,19 +125,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(tuple(specs), **values)
 
 
-def _nan_row(spec: ModelSpec, status: str) -> SweepRow:
-    nan = float("nan")
-    return SweepRow(
-        model=spec.kind,
-        knob=spec.knob,
-        overlap_expected=nan,
-        overlap_empirical=nan,
-        means={c: nan for c in STAT_COLUMNS},
-        stds={c: nan for c in STAT_COLUMNS},
-        status=status,
-    )
-
-
 def evaluate_point(
     reference: Graph, spec: ModelSpec, samples: int, seed: int, reference_counts=None
 ) -> SweepRow:
@@ -159,13 +146,15 @@ def evaluate_point(
         stage = "compare"
         records = [compare(reference, g, reference_counts) for g in drawn]
     except Exception as exc:  # a failure at any stage poisons one row, not the sweep
-        return _nan_row(spec, f"error[{stage}]: {exc}")
+        nan = float("nan")
+        nans = dict.fromkeys(STAT_COLUMNS, nan)
+        return SweepRow(spec.kind, spec.knob, nan, nan, nans, dict(nans), f"error[{stage}]: {exc}")
     table = np.array([r.as_tuple() for r in records], dtype=np.float64)
     means = {c: float(table[:, k].mean()) for k, c in enumerate(STAT_COLUMNS)}
     if samples > 1:
         stds = {c: float(table[:, k].std(ddof=1)) for k, c in enumerate(STAT_COLUMNS)}
     else:
-        stds = {c: float("nan") for c in STAT_COLUMNS}
+        stds = dict.fromkeys(STAT_COLUMNS, float("nan"))
     return SweepRow(
         model=spec.kind,
         knob=spec.knob,

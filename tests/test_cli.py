@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 import eigm.cli
 from eigm.bounds import BoundReport
 from eigm.cli import _csv, build_parser, main
-from eigm.graphs import parse_edge_list, serialize_edge_list
+from eigm.graphs import load_edge_list, parse_edge_list, serialize_edge_list
 from eigm.probmatrix import load_probmatrix
-from eigm.stats import STAT_COLUMNS, StatsRecord
+from eigm.stats import STAT_COLUMNS, StatsRecord, compare
 from eigm.sweep import SweepRow
 from eigm.synth import clustered_graph
 
@@ -267,6 +268,37 @@ def test_readme_cli_lines_parse():
         parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
+def test_readme_experiments_print_what_their_comments_say(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+    verify = [ln for ln in section.splitlines() if ln.startswith("eigm verify ")]
+    assert len(verify) == 5
+    for line in verify:
+        argv, comment = line.split("#", 1)
+        assert main(shlex.split(argv)[1:]) == 0
+        out = capsys.readouterr().out.splitlines()
+        comment = comment.strip()
+        if "--theorem cc" in argv:
+            row = dict(zip(out[0].split(","), out[1].split(",")))
+            lhs, std_err = float(row["lhs"]), float(row["std_err"])
+            assert f"mean C {lhs:.4f} (+-{std_err:.4f})" == comment
+        else:
+            assert out[-1] == comment  # "200/200 hold", "100/100 hold"
+    loop = re.findall(r"for (\w) in ([^;]+); do", section)
+    grid = {var: values.split() for var, values in loop}
+    assert sorted(grid) == ["d", "n", "s"]
+    rows = []
+    for n in grid["n"]:
+        for d in grid["d"]:
+            for s in grid["s"]:
+                argv = ["cell-verify", "--n", n, "--max-degree", d, "--scale", s, "--trials", "3"]
+                assert main(argv) == 0
+                header, *body = capsys.readouterr().out.splitlines()
+                rows += [dict(zip(header.split(","), r.split(","))) for r in body]
+    assert len(rows) == 108
+    assert all(int(r["numerical_rank"]) <= int(r["rank_bound"]) for r in rows)
+
+
 def test_count_defaults():
     parser = build_parser()
     assert parser.parse_args(["verify", "--theorem", "tri"]).trials == 100
@@ -473,6 +505,22 @@ def test_full_pipeline_chain(tmp_path, capsys):
     row = (out / "row.csv").read_text().splitlines()
     assert row[0].split(",")[0] == "degree_pearson"
     assert len(row[1].split(",")) == 8
+
+
+def test_stats_pairs_a_raw_reference_with_its_fitted_sample(tmp_path, capsys):
+    # the sample's ids are 0..n-1; its node i is the raw file's i-th smallest id
+    raw = tmp_path / "raw.edges"
+    raw.write_text("105 3\n42 10\n3 10\n77 42\n105 77\n42 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["fit", "--input", str(raw), "--output-dir", str(out)]) == 0
+    assert main(["sample", "--input", str(out / "raw.pmat"), "--seed", "1",
+                 "--output-dir", str(out)]) == 0
+    sample0 = out / "raw_sample0.edges"
+    capsys.readouterr()
+    assert main(["stats", "--reference", str(raw), "--sample", str(sample0)]) == 0
+    (ref, ref_ids), (gen, gen_ids) = load_edge_list(raw), load_edge_list(sample0)
+    assert ref_ids == (3, 10, 42, 77, 105) and gen_ids == (0, 1, 2, 3, 4)
+    assert capsys.readouterr().out == _csv(STAT_COLUMNS, [compare(ref, gen).as_tuple()])
 
 
 def test_sweep_without_an_input_is_one_line_error(capsys):

@@ -55,6 +55,12 @@ def test_parse_empty_is_error():
         parse_edge_list("# nothing here\n")
 
 
+def test_parse_id_only_on_a_self_loop_line_is_a_node():
+    g, id_map = parse_edge_list("5 5\n1 2\n")
+    assert id_map == (1, 2, 5)
+    assert g.n == 3 and g.m == 1 and degrees(g).tolist() == [1, 1, 0]
+
+
 def test_noncontiguous_ids_densified():
     g, id_map = parse_edge_list("100 7\n7 42\n")
     assert g.n == 3

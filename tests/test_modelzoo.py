@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,17 @@ def test_ccop_extremes(cycle5):
     p0 = ccop(cycle5, 0.0)
     off = p0.mat[~np.eye(5, dtype=bool)]
     assert off == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("omega", [1.5, -0.1, float("nan")])
+def test_omega_is_refused_before_any_fit(cycle5, monkeypatch, omega):
+    def fail(*args):
+        raise AssertionError("fit_odds_product called")
+
+    monkeypatch.setattr("eigm.modelzoo.fit_odds_product", fail)
+    for build in (ccop, linear_model):
+        with pytest.raises(ValueError, match=re.escape(f"omega must be in [0, 1], got {omega}")):
+            build(cycle5, omega)
 
 
 def test_ccop_degree_preservation(test_graphs):

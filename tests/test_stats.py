@@ -102,6 +102,8 @@ def test_assortativity_regular_undefined(cycle5):
     assert math.isnan(assortativity(cycle5))
     single = Graph.from_edges(2, [(0, 1)])
     assert math.isnan(assortativity(single))
+    edgeless = Graph.from_edges(3, [])  # m = 0: no degree pairs at all
+    assert math.isnan(assortativity(edgeless))
 
 
 def test_powerlaw_synthetic_exponent():

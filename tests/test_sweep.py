@@ -17,7 +17,6 @@ from eigm.svgplot import render_sweep_svg
 from eigm.sweep import (
     ExperimentConfig,
     SweepRow,
-    _nan_row,
     evaluate_point,
     grid_specs,
     parse_config,
@@ -216,8 +215,9 @@ def test_sweep_failure_row_marked(reference):
     # rank 0 is invalid for tsvd: the row is marked, not raised
     row = evaluate_point(reference, ModelSpec("tsvd", 0), samples=2, seed=0)
     assert row.status.startswith("error[build]: rank must be in [1, n]")
-    assert math.isnan(row.overlap_expected)
-    assert math.isnan(row.means["triangle_count"])
+    assert math.isnan(row.overlap_expected) and math.isnan(row.overlap_empirical)
+    assert set(row.means) == set(row.stds) == set(STAT_COLUMNS)
+    assert all(math.isnan(row.means[c]) and math.isnan(row.stds[c]) for c in STAT_COLUMNS)
 
 
 @pytest.mark.parametrize("name, stage", [
@@ -274,7 +274,8 @@ def test_csv_header_and_row_shape(reference, tmp_path, monkeypatch):
 
 def test_csv_row_quotes_a_status_with_commas_or_quotes(tmp_path, monkeypatch):
     status = 'error: bad "x", then\nmore'
-    rows = [_nan_row(ModelSpec("linear", 0.5), status), _nan_row(ModelSpec("linear", 0.5), "ok")]
+    nans = dict.fromkeys(STAT_COLUMNS, math.nan)
+    rows = [SweepRow("linear", 0.5, math.nan, math.nan, nans, nans, st) for st in (status, "ok")]
     text = sweep_csv(rows, tmp_path, monkeypatch)
     header, fields, _ = csv.reader(io.StringIO(text, newline=""))
     assert len(fields) == len(header) and fields[-1] == status
