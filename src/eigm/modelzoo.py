@@ -8,8 +8,9 @@ touching the top-h degree nodes to A and fits the rest; tsvd (k) is the
 rank-k truncation of A (its k eigenpairs of largest |lambda|, equal to its
 rank-k SVD, solved on the classes of nodes with equal neighbor sets),
 shifted and clipped to restore the volume.  linear, ccop and hdop write A's
-entries at its CSR positions and never make A dense; every builder refuses
-an n above the dense cap before any n x n allocation.
+entries at its CSR positions and never make A dense, and build one n x n
+array; ccop and hdop gather it from the fit's k x k class table.  Every
+builder refuses an n above the dense cap before any n x n allocation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _neighbor_bits, degrees
-from .oddsproduct import fit_odds_product
-from .probmatrix import ProbMatrix, _check_dense_cap, _check_omega, convex_combine
+from .oddsproduct import EXCLUDED_LOGIT, _fit_logits, _prob_from_logits
+from .probmatrix import ProbMatrix, _check_dense_cap, _check_omega
 
 # Each model kind and the name of its knob, as a sweep config key and a CLI flag.
 KNOB_KEYS = {"linear": "omega", "ccop": "omega", "hdop": "h", "tsvd": "rank"}
@@ -64,11 +65,13 @@ def ccop(a: Graph, omega: float) -> ProbMatrix:
     """Degree-matching odds-product fit blended with the adjacency.
 
     Expected degrees equal the input degrees for every omega, since both
-    endpoints of the combination have them.  omega is checked before the fit.
+    endpoints of the combination have them.  omega is checked before the fit
+    and scales the fit's class table before its one gather (same rounding).
     """
     _check_omega(omega)
-    _, p, _ = fit_odds_product(degrees(a))
-    return convex_combine(p, a, omega)
+    p = _prob_from_logits(_fit_logits(degrees(a))[0], 1.0 - omega)
+    p[a._rows(), a.indices] += omega
+    return ProbMatrix.from_array(p)
 
 
 def hdop(a: Graph, h: int) -> ProbMatrix:
@@ -77,7 +80,8 @@ def hdop(a: Graph, h: int) -> ProbMatrix:
     Ties in degree break toward the lower node id.  Pairs with either
     endpoint in the pinned set copy the adjacency; the complement is fitted
     to its induced-subgraph degrees, so every row still sums to the input
-    degree and the volume is preserved for every h.
+    degree and the volume is preserved for every h.  The one gather gives
+    pinned nodes' pairs 0 (their logit is EXCLUDED_LOGIT), then A's entries.
     """
     n = a.n
     if not 0 <= h <= n:
@@ -90,12 +94,14 @@ def hdop(a: Graph, h: int) -> ProbMatrix:
     pinned[order[:h]] = True
     free = np.flatnonzero(~pinned)
 
-    # fit first: out is n x n, so the fit's peak must not add to it
-    residual_deg = (deg - np.bincount(a._rows()[pinned[a.indices]], minlength=n))[free]
-    p_sub = fit_odds_product(residual_deg)[1].mat if free.size else np.zeros((0, 0))
-    out = np.zeros((n, n))
-    out[a._rows(), a.indices] = 1.0
-    out[np.ix_(free, free)] = p_sub
+    rows, cols = a._rows(), a.indices
+    residual_deg = (deg - np.bincount(rows[pinned[cols]], minlength=n))[free]
+    logits = np.full(n, EXCLUDED_LOGIT)
+    if free.size:
+        logits[free] = _fit_logits(residual_deg)[0]
+    out = _prob_from_logits(logits)
+    pin = pinned[rows] | pinned[cols]
+    out[rows[pin], cols[pin]] = 1.0
     return ProbMatrix.from_array(out)
 
 

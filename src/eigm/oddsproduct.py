@@ -50,12 +50,13 @@ class FitConvergenceError(RuntimeError):
         self.report = report
 
 
-def _prob_from_logits(logits: np.ndarray) -> np.ndarray:
+def _prob_from_logits(logits: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * sigmoid(ell_i + ell_j) for every pair, zero diagonal: one
+    expit per pair of distinct logits, gathered into one n x n array."""
     from scipy.special import expit
-    # one expit per pair of distinct logits; indexing rows and columns in
-    # one step keeps the gather C-ordered (table[cls][:, cls] is F-ordered)
     vals, cls = np.unique(logits, return_inverse=True)
-    p = expit(np.add.outer(vals, vals))[cls[:, None], cls]
+    table = expit(np.add.outer(vals, vals)) * scale
+    p = np.take(table[cls], cls, axis=1)  # C-ordered, unlike table[cls][:, cls]
     np.fill_diagonal(p, 0.0)
     return p
 
@@ -103,24 +104,16 @@ def _solve_step(j: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.solve(ridge, r), True
 
 
-def fit_odds_product(d: np.ndarray) -> tuple[np.ndarray, ProbMatrix, FitReport]:
-    """Fit logits so the model's expected degrees match ``d``.
+def _report(d: np.ndarray, full: np.ndarray, history: list[float], ridge_used: bool) -> FitReport:
+    error = float(np.abs(full.sum(axis=1) - d).max())
+    return FitReport(len(history) - 1, history, history[-1] <= EPS, error, ridge_used)
 
-    Newton-Raphson on one logit per distinct degree, from ell = 0, for at
-    most :data:`MAX_ITER` steps, each with a backtracking step size (halved
-    on residual increase, at most 30 times).  Inside the loop the residual
-    target is tightened to min(EPS, 10 * EPS / sqrt(n)) so the
-    infinity-norm degree error is bounded by 10 * EPS / sqrt(n) on success;
-    convergence is declared whenever the 2-norm residual is <= :data:`EPS`.
-    An n above the dense cap is refused before the n x n P is built.
 
-    Zero-degree nodes are removed before fitting (their logits diverge)
-    and re-inserted as zero rows; their returned logit is the finite
-    sentinel :data:`EXCLUDED_LOGIT`.
+def _fit_logits(d) -> tuple[np.ndarray, list[float], bool]:
+    """The Newton fit of :func:`fit_odds_product` without its n x n P.
 
-    Returns (logits, P, report); raises :class:`FitConvergenceError` with
-    the report attached when the target cannot be met, e.g. for
-    non-graphical degree sequences.
+    Returns (logits, residual history, ridge used); raises the same
+    :class:`FitConvergenceError`, whose report alone builds P.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
@@ -158,22 +151,37 @@ def fit_odds_product(d: np.ndarray) -> tuple[np.ndarray, ProbMatrix, FitReport]:
         ell, p, r, res = ell_try, p_try, r_try, res_try
         history.append(res)
 
-    iterations = len(history) - 1
-    converged = res <= EPS
     logits[active] = ell[cls]
-    full = _prob_from_logits(logits)
-    report = FitReport(
-        iterations=iterations,
-        residual_history=history,
-        converged=converged,
-        final_max_abs_error=float(np.abs(full.sum(axis=1) - d).max()),
-        ridge_used=ridge_used,
-    )
-    if not converged:
-        reason = "line search stalled" if iterations < MAX_ITER else f"MAX_ITER={MAX_ITER} reached"
+    if not res <= EPS:  # NaN included
+        reason = "line search stalled" if len(history) <= MAX_ITER else f"MAX_ITER={MAX_ITER} reached"
         raise FitConvergenceError(
             f"degree fit did not converge ({reason}, residual {res:.3e} > {EPS:g}); "
             "the target sequence may not be graphical",
-            report,
+            _report(d, _prob_from_logits(logits), history, ridge_used),
         )
-    return logits, ProbMatrix.from_array(full), report
+    return logits, history, ridge_used
+
+
+def fit_odds_product(d: np.ndarray) -> tuple[np.ndarray, ProbMatrix, FitReport]:
+    """Fit logits so the model's expected degrees match ``d``.
+
+    Newton-Raphson on one logit per distinct degree, from ell = 0, for at
+    most :data:`MAX_ITER` steps, each with a backtracking step size (halved
+    on residual increase, at most 30 times).  Inside the loop the residual
+    target is tightened to min(EPS, 10 * EPS / sqrt(n)) so the
+    infinity-norm degree error is bounded by 10 * EPS / sqrt(n) on success;
+    convergence is declared whenever the 2-norm residual is <= :data:`EPS`.
+    An n above the dense cap is refused before the n x n P is built.
+
+    Zero-degree nodes are removed before fitting (their logits diverge)
+    and re-inserted as zero rows; their returned logit is the finite
+    sentinel :data:`EXCLUDED_LOGIT`.
+
+    Returns (logits, P, report); raises :class:`FitConvergenceError` with
+    the report attached when the target cannot be met, e.g. for
+    non-graphical degree sequences.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    logits, history, ridge_used = _fit_logits(d)
+    full = _prob_from_logits(logits)
+    return logits, ProbMatrix.from_array(full), _report(d, full, history, ridge_used)

@@ -87,7 +87,8 @@ class ProbMatrix:
             raise ValueError("probability matrix must be symmetric")
         if lo < -_RANGE_SLACK or hi > 1.0 + _RANGE_SLACK:
             raise ValueError(f"entries outside [0, 1]: min={lo}, max={hi}")
-        np.clip(a, 0.0, 1.0, out=a)
+        if lo < 0.0 or hi > 1.0:
+            np.clip(a, 0.0, 1.0, out=a)
         if np.any(np.diagonal(a) != 0.0):
             warnings.warn("nonzero diagonal zeroed: self-loops are never sampled")
             np.fill_diagonal(a, 0.0)

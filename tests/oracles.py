@@ -1,11 +1,11 @@
 """Slow, loop-based reference implementations of the graph and statistics
 kernels, union-find component labels, Pearson correlation from centred
 sums, the power-law tail fit with a fresh tail mask per cutoff, the dense
-odds-product P and node-level fit, the exact and matrix-power trace
-k-cycle counts, the text-format reader, the edge-list writer, the
-clustered graph and the pairwise empirical overlap, index-array statements
-of the sampler, the text writer, the random probability matrix and the
-volume shift, and the dense-SVD tsvd model.
+odds-product P and node-level fit, ccop as a blend of the fitted P, the
+exact and matrix-power trace k-cycle counts, the text-format reader, the
+edge-list writer, the clustered graph and the pairwise empirical overlap,
+index-array statements of the sampler, the text writer, the random
+probability matrix and the volume shift, and the dense-SVD tsvd model.
 
 ``eigm`` computes these quantities with vectorized kernels on whole index
 arrays: it labels components by hook and shortcut, fits the odds-product
@@ -542,6 +542,12 @@ def convex_combine(p: ProbMatrix, a: Graph, omega: float) -> ProbMatrix:
     if p.n != a.n:
         raise ValueError("dimension mismatch")
     return ProbMatrix.from_array((1.0 - omega) * p.mat + omega * to_dense(a).mat)
+
+
+def ccop(a: Graph, omega: float) -> ProbMatrix:
+    """:func:`convex_combine` of the P that eigm's degree-class fit returns."""
+    _, p, _ = oddsproduct.fit_odds_product(degrees(a))
+    return convex_combine(p, a, omega)
 
 
 def hdop(a: Graph, h: int) -> ProbMatrix:

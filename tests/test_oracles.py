@@ -9,8 +9,8 @@ and volume shift equal their index-array oracles, the keyed clustered graph,
 empirical overlap and edge-list writer equal their loop, pairwise and
 tuple-sort oracles, the ``np.loadtxt`` text reader equals the line-by-line
 reader, the eigenpair tsvd model solved on open-twin classes equals the
-dense-SVD one, and the linear, convex-combination and hdop builders that
-write the adjacency at its CSR positions equal, bit for bit, their
+dense-SVD one, and the linear, convex-combination, ccop and hdop builders
+that write the adjacency at its CSR positions equal, bit for bit, their
 dense-adjacency oracles."""
 
 import importlib.util
@@ -39,7 +39,7 @@ from eigm.graphs import (
     largest_connected_component,
     serialize_edge_list,
 )
-from eigm.modelzoo import fit_volume_shift, hdop, linear_model, tsvd_model
+from eigm.modelzoo import ccop, fit_volume_shift, hdop, linear_model, tsvd_model
 from eigm.oddsproduct import EXCLUDED_LOGIT, FitConvergenceError, fit_odds_product
 from eigm.probmatrix import (
     ProbMatrix,
@@ -919,6 +919,12 @@ def test_convex_combine_matches_dense_oracle(g, omega, seed, scale):
     _assert_same_model(convex_combine, oracles.convex_combine, p, g, omega)
 
 
+@given(graphs_with_isolated_nodes(), OMEGAS)
+@settings(max_examples=150, deadline=None)
+def test_ccop_matches_blend_of_fitted_p(g, omega):
+    _assert_same_model(ccop, oracles.ccop, g, omega)
+
+
 @given(graphs_with_isolated_nodes())
 @settings(max_examples=150, deadline=None)
 def test_serialize_edge_list_matches_tuple_sort_oracle(g):
@@ -977,3 +983,4 @@ def test_csr_builders_match_dense_oracles_on_bench_references():
         assert np.array_equal(linear_model(c, omega).mat, oracles.linear_model(c, omega).mat)
         assert np.array_equal(convex_combine(p, c, omega).mat,
                               oracles.convex_combine(p, c, omega).mat)
+        assert np.array_equal(ccop(c, omega).mat, oracles.ccop(c, omega).mat)
